@@ -228,7 +228,9 @@ def cmd_solve(args) -> int:
     sa = solve_nystrom(prob, n1, n2, rulekind="antigauss", solver=solver,
                        tol=args.tol, allow_uncontained=allow)
 
-    report = {"n1": n1, "n2": n2, "solver": solver}
+    # the solvers that ran, which differ from the request after auto or a fallback
+    ran = sg.solver if sg.solver == sa.solver else f"{sg.solver}/{sa.solver}"
+    report = {"n1": n1, "n2": n2, "solver": ran}
     if sg.iterations is not None:
         report["iters"] = sg.iterations
 
@@ -331,9 +333,6 @@ def cmd_reproduce(args) -> int:
     if ident not in _TABLES:
         raise ValueError(f"unknown reproduce id {ident!r}")
     case_id = _TABLES[ident]
-    if args.refresh_cache:
-        tp.clear_disk_cache(case_id)
-        tp.clear_memo()
     report = tp.run_case(case_id)
     case = tp.get_case(case_id)
     metrics = [m for m in tp._METRIC_ORDER if any(m in t for _, t in case.rows)]
@@ -434,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="recompute a stored table or figure")
     p.add_argument("id", help="one of 1, 2, 3, 4, 6, fig1, fig1-left, fig1-right")
-    p.add_argument("--refresh-cache", action="store_true",
-                   help="drop cached reference data for the table first")
     _add_common(p)
     p.set_defaults(func=cmd_reproduce)
     return ap

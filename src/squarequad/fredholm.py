@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linsolve
 from .cubature import CubatureRule2D, antigauss_cubature, gauss_cubature
-from .errors import AssemblyError, EvaluationError
+from .errors import AssemblyError, ConvergenceError, EvaluationError
 from .linsolve import SystemOperator, fold, gmres, lu_solve, stein_solve, unfold
 from .orthopoly import JacobiWeight
 
@@ -242,8 +242,9 @@ def solve_nystrom(
     ``rulekind`` is ``gauss`` (n1 x n2 points) or ``antigauss`` (one more
     per axis).  Solvers: ``lu``, ``gmres`` (dense matvec), ``gmres-fm``
     (factored matvec), ``gmres-sk`` and ``stein`` (separable kernels
-    only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` when its
-    contraction precheck fails.
+    only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` whenever it
+    fails, whether its contraction precheck rejects the factors or the
+    iteration stalls; ``NystromSolution.solver`` names the solver that ran.
     """
     if rulekind == "gauss":
         rule = gauss_cubature(problem.w1, problem.w2, n1, n2)
@@ -281,13 +282,11 @@ def solve_nystrom(
     if solver == "lu":
         coeffs = lu_solve(op, h)
     elif solver == "stein":
-        r1 = linsolve._spectral_radius(op.phi1)
-        r2 = linsolve._spectral_radius(op.phi2)
-        if r1 * r2 >= 1.0:
+        try:
+            coeffs = unfold(stein_solve(op.phi1, op.phi2, fold(h, op.n1, op.n2)))
+        except ConvergenceError:
             used = "gmres-sk"
             coeffs, stats = gmres(op, h, tol=tol)
-        else:
-            coeffs = unfold(stein_solve(op.phi1, op.phi2, fold(h, op.n1, op.n2)))
     else:
         coeffs, stats = gmres(op, h, tol=tol)
     return NystromSolution(problem, rule, rulekind, used, coeffs, stats, op)

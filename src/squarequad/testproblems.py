@@ -5,14 +5,18 @@ reference values the implementation is expected to reproduce and the
 tolerance each value is held to.  Expensive reference artifacts (the
 high-order reference solutions and the larger condition numbers) are
 memoized in process and cached on disk under SQUAREQUAD_CACHE, default
-``~/.cache/squarequad``; a cold cache regenerates deterministically.
+``~/.cache/squarequad``, in files named by a digest of the package sources
+and the numpy version.  Files from other code are never read and may be
+deleted at any time; a cold cache regenerates deterministically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +48,6 @@ __all__ = [
     "run_case",
     "cache_dir",
     "clear_memo",
-    "clear_disk_cache",
 ]
 
 
@@ -415,16 +418,17 @@ def cache_dir() -> Path:
     return Path(env) if env else Path.home() / ".cache" / "squarequad"
 
 
+@cache
+def _code_digest() -> str:
+    """SHA-256 of the package sources and the numpy version."""
+    h = hashlib.sha256(np.__version__.encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_file(case_id: str) -> Path:
-    # versioned name so a format change never reads stale data
-    return cache_dir() / f"case-{case_id}-v1.npz"
-
-
-def clear_disk_cache(case_id: str | None = None) -> None:
-    for cid in [case_id] if case_id else list(CASES):
-        path = _cache_file(cid)
-        if path.exists():
-            path.unlink()
+    return cache_dir() / f"case-{case_id}-{_code_digest()}.npz"
 
 
 def _disk_load(case_id: str) -> dict:
@@ -458,6 +462,17 @@ def _memoized(key, build):
     return _memo[key]
 
 
+def _cached(case_id: str, key: str, build):
+    """Memo, then disk cache, then ``build`` with its result stored on disk."""
+    if (case_id, key) not in _memo:
+        value = _disk_get(case_id, key)
+        if value is None:
+            value = build()
+            _disk_store(case_id, key, value)
+        _memo[case_id, key] = value
+    return _memo[case_id, key]
+
+
 # ------------------------------------------------------------ metric engine
 
 def _cub_values(case, n1, n2):
@@ -473,15 +488,10 @@ def _cub_values(case, n1, n2):
 
 def _ref_integral(case) -> float:
     def build():
-        hit = _disk_get(case.id, "ref_integral")
-        if hit is not None:
-            return float(hit)
         m1, m2 = case.reference
-        val = float(gauss_cubature(case.w1, case.w2, m1, m2).apply(case.integrand))
-        _disk_store(case.id, "ref_integral", val)
-        return val
+        return gauss_cubature(case.w1, case.w2, m1, m2).apply(case.integrand)
 
-    return _memoized(("ref_integral", case.id), build)
+    return float(_cached(case.id, "ref_integral", build))
 
 
 def _solution(case, n1, n2, rulekind, solver=None):
@@ -498,24 +508,19 @@ def _solution(case, n1, n2, rulekind, solver=None):
 
 def _ref_grid(case) -> np.ndarray:
     """Weighted reference values on the 50 x 50 midpoint lattice."""
+    yy1, yy2 = _midpoint_grid(50)
+    if case.exact is not None:
+        return _weighted_values(case.exact, yy1, yy2, case.u)
 
     def build():
-        yy1, yy2 = _midpoint_grid(50)
-        if case.exact is not None:
-            return _weighted_values(case.exact, yy1, yy2, case.u)
-        hit = _disk_get(case.id, "ref_grid")
-        if hit is not None:
-            return np.asarray(hit)
         m1, m2 = case.reference
         sol = solve_nystrom(
             case.problem(), m1, m2, rulekind="gauss", solver=case.solver,
             allow_uncontained=case.allow_uncontained,
         )
-        vals = _weighted_values(sol, yy1, yy2, case.u)
-        _disk_store(case.id, "ref_grid", vals)
-        return vals
+        return _weighted_values(sol, yy1, yy2, case.u)
 
-    return _memoized(("ref_grid", case.id), build)
+    return _cached(case.id, "ref_grid", build)
 
 
 def _xi(case, size, which, solver) -> float:
@@ -536,20 +541,13 @@ def _xi(case, size, which, solver) -> float:
 
 def _kappa(case, size, which, solver) -> float:
     n1, n2 = size
-    key = f"kappa_{which}_{n1}_{n2}"
 
     def build():
-        hit = _disk_get(case.id, key)
-        if hit is not None:
-            return float(hit)
         kind = "gauss" if which == "g" else "antigauss"
         sol = _solution(case, n1, n2, kind, solver)
-        npoints = sol.op.n1 * sol.op.n2
-        val = condition_number_inf(sol, cap=max(4096, npoints))
-        _disk_store(case.id, key, val)
-        return val
+        return condition_number_inf(sol, cap=max(4096, sol.op.N))
 
-    return _memoized(("kappa", case.id, size, which), build)
+    return float(_cached(case.id, f"kappa_{which}_{n1}_{n2}", build))
 
 
 _METRIC_ORDER = (

@@ -110,6 +110,34 @@ def test_solve_eq1_report(capsys):
     assert float(report["fraction_between"]) > 0.99
 
 
+def _solve_report(capsys, *argv):
+    code, out, _ = _run(capsys, "solve", *argv)
+    assert code == 0
+    return dict(ln.split("=", 1) for ln in out.strip().splitlines())
+
+
+def test_solve_reports_auto_choice(capsys):
+    report = _solve_report(capsys, "--case", "eq4", "--n1", "4", "--n2", "4")
+    assert report["solver"] == "gmres-sk"
+
+
+def test_solve_reports_stein_fallback(capsys, tmp_path):
+    report = _solve_report(
+        capsys, "--case", "eq1", "--n1", "4", "--n2", "4", "--solver", "stein"
+    )
+    assert report["solver"] == "gmres-sk"
+    # contraction products 0.96 (Gauss) and 1.04 (companion): only the
+    # companion solve falls back
+    prob = {
+        "kernel_pair": ["exp-sum", "product"], "rhs": "exp-sin",
+        "mult": 0.414, "n1": 2, "n2": 2,
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    report = _solve_report(capsys, "--problem", str(path), "--solver", "stein")
+    assert report["solver"] == "stein/gmres-sk"
+
+
 def test_solve_problem_file(capsys, tmp_path):
     prob = {
         "alpha1": 0.5, "beta1": 0.5, "alpha2": 0.5, "beta2": 0.5,
@@ -170,14 +198,3 @@ def test_reproduce_json_format(capsys):
     assert doc["case"] == "eq1"
     assert len(doc["rows"]) == 4
     assert all(row["ok"] for row in doc["rows"])
-
-
-def test_reproduce_refresh_cache(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
-    from squarequad import testproblems as tp
-
-    tp.clear_memo()
-    code, out, _ = _run(capsys, "reproduce", "3", "--refresh-cache")
-    assert code == 0
-    assert list(tmp_path.glob("*.npz"))
-    tp.clear_memo()

@@ -73,15 +73,17 @@ def test_admissibility_enforced():
 
 
 def test_assembly_rejects_vanishing_u_at_node():
-    # Chebyshev-1 companion nodes reach +-1 where this u vanishes
+    # Chebyshev-1 companion nodes reach +-1 where this u vanishes; the sizes
+    # cover end nodes that the eigensolver rounds outward, onto, and inward
     prob = FredholmProblem(
         JacobiWeight(-0.5, -0.5), JacobiWeight(0.0, 0.0),
         SpaceWeight(0.4, 0.0, 0.0, 0.0), RHS["exp-sin"],
         kernel_pair=(KERNELS_1D["exp-sum"], KERNELS_1D["product"]), mult=0.1,
     )
-    solve_nystrom(prob, 4, 4)  # interior Gauss nodes are fine
-    with pytest.raises(AssemblyError):
-        solve_nystrom(prob, 4, 4, rulekind="antigauss")
+    for n in (3, 4, 8, 16):
+        solve_nystrom(prob, n, 4)  # interior Gauss nodes are fine
+        with pytest.raises(AssemblyError):
+            solve_nystrom(prob, n, 4, rulekind="antigauss")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,15 @@ def test_solver_backends_agree():
         scale = np.max(np.abs(sols[0]))
         for got in sols[1:]:
             assert np.max(np.abs(got - sols[0])) < 1e-10 * scale, case_id
+
+
+def test_stein_falls_back_to_gmres_sk():
+    # eq1's factors fail the contraction test, so stein hands over to gmres-sk
+    prob = get_case("eq1").problem()
+    sol = solve_nystrom(prob, 4, 4, solver="stein")
+    direct = solve_nystrom(prob, 4, 4, solver="gmres-sk")
+    assert sol.solver == "gmres-sk"
+    assert np.array_equal(sol.coeffs, direct.coeffs)
 
 
 def test_solution_is_space_weight_independent():

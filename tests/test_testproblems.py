@@ -99,6 +99,22 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     tp.clear_memo()
     second = run_case("eq1", sizes=[(2, 2)])
     assert [r.computed for r in first.rows] == [r.computed for r in second.rows]
-    tp.clear_disk_cache("eq1")
-    assert not list(tmp_path.glob("eq1*.npz"))
+
+    # a file written by other code is never read: a new digest misses and
+    # writes its own file next to the old one
+    hits = []
+    disk_get = tp._disk_get
+
+    def spy(case_id, key):
+        hit = disk_get(case_id, key)
+        hits.append(hit is not None)
+        return hit
+
+    monkeypatch.setattr(tp, "_disk_get", spy)
+    monkeypatch.setattr(tp, "_code_digest", lambda: "0" * 64)
+    tp.clear_memo()
+    third = run_case("eq1", sizes=[(2, 2)])
+    assert hits and not any(hits)
+    assert sorted(tmp_path.glob("*.npz")) == sorted(files + [tmp_path / f"case-eq1-{'0' * 64}.npz"])
+    assert [r.computed for r in first.rows] == [r.computed for r in third.rows]
     tp.clear_memo()
