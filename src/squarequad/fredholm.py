@@ -16,8 +16,8 @@ import numpy as np
 
 from . import linsolve
 from .cubature import CubatureRule2D, antigauss_cubature, gauss_cubature
-from .errors import AssemblyError, ConvergenceError, EvaluationError
-from .linsolve import SystemOperator, fold, gmres, lu_solve, stein_solve, unfold
+from .errors import AssemblyError, CapacityError, ConvergenceError, EvaluationError
+from .linsolve import SystemOperator, fold, gmres, lu_solve, row_blocks, stein_solve, unfold
 from .orthopoly import JacobiWeight
 
 __all__ = [
@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 _EVAL_BLOCK = 1024
+
+# low-rank kernel factors: the cross approximation's rank cap, and the
+# largest system that falls back to a dense matrix when no factors verify
+_ACA_RANK_CAP = 64
+_DENSE_LIMIT = 5000
 
 
 def _powfac(base, expo):
@@ -147,6 +152,13 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     Returns (operator, rhs).  ``realization`` picks the operator storage:
     ``separable`` (needs a kernel pair), ``factored``, ``dense``, or
     ``auto`` to choose the cheapest form the kernel supports.
+
+    ``factored`` builds cross factors K ~= U V^T with ``linsolve.aca``,
+    verified in one blocked sweep over every row of K.  When no factors of
+    rank <= min(64, N / 2) pass, the system falls back to ``dense`` up to
+    5000 unknowns and raises CapacityError above that, before allocating
+    the matrix.  A non-finite kernel value raises AssemblyError naming its
+    integration node.
     """
     if rule.kind not in ("gauss", "antigauss"):
         raise ValueError(f"assembly needs a tensor rule, got kind {rule.kind!r}")
@@ -186,26 +198,39 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
         return op, h
 
     x1f, x2f = rule.nodes1, rule.nodes2
+    N = n1 * n2
 
-    def row_block(lo, hi):
+    def entries(rows, cols):
         vals = problem.kernel_values(
-            x1f[None, :], x2f[None, :], x1f[lo:hi, None], x2f[lo:hi, None]
+            x1f[None, cols], x2f[None, cols], x1f[rows, None], x2f[rows, None]
         )
         if not np.all(np.isfinite(vals)):
             r, c = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
+            r, c = np.arange(N)[rows][r], np.arange(N)[cols][c]
             raise AssemblyError(
                 f"kernel not finite at integration node ({x1f[c]:.17g}, {x2f[c]:.17g}), "
-                f"collocation node ({x1f[lo + r]:.17g}, {x2f[lo + r]:.17g})",
+                f"collocation node ({x1f[r]:.17g}, {x2f[r]:.17g})",
                 node=(x1f[c], x2f[c]),
             )
         return vals
 
-    op = SystemOperator(
-        "factored", n1, n2, u=uflat, d=dflat, kernel_row_block=row_block
-    )
+    def dense():
+        K = entries(slice(None), slice(None))
+        F = np.eye(N) - (uflat[:, None] * K) * dflat[None, :]
+        return SystemOperator("dense", n1, n2, dense=F)
+
     if realization == "dense":
-        op = SystemOperator("dense", n1, n2, dense=op.to_dense())
-    return op, h
+        return dense(), h
+    rmax = min(_ACA_RANK_CAP, N // 2)
+    factors = linsolve.aca(entries, N, rmax)
+    if factors is not None:
+        return SystemOperator("factored", n1, n2, u=uflat, d=dflat, factors=factors), h
+    if N > _DENSE_LIMIT:
+        raise CapacityError(
+            f"kernel has no verified cross approximation of rank <= {rmax}, and the "
+            f"dense fallback of {N} unknowns exceeds {_DENSE_LIMIT}"
+        )
+    return dense(), h
 
 
 class NystromSolution:
@@ -241,7 +266,7 @@ def solve_nystrom(
 
     ``rulekind`` is ``gauss`` (n1 x n2 points) or ``antigauss`` (one more
     per axis).  Solvers: ``lu``, ``gmres`` (dense matvec), ``gmres-fm``
-    (factored matvec), ``gmres-sk`` and ``stein`` (separable kernels
+    (low-rank matvec), ``gmres-sk`` and ``stein`` (separable kernels
     only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` whenever it
     fails, whether its contraction precheck rejects the factors or the
     iteration stalls; ``NystromSolution.solver`` names the solver that ran.
@@ -332,8 +357,7 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
             A2 = np.asarray(k2(z2[None, :], y2f[lo:hi, None]), dtype=float)
             acc[lo:hi] = prob.mult * np.einsum("pi,ij,pj->p", A1, D, A2)
     else:
-        for lo in range(0, y1f.size, _EVAL_BLOCK):
-            hi = min(lo + _EVAL_BLOCK, y1f.size)
+        for lo, hi in row_blocks(y1f.size, rule.npoints):
             kb = prob.kernel_values(
                 rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]
             )

@@ -16,6 +16,15 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_cache(tmp_path_factory):
+    # the suite never reads or writes the user's cache; tests that set
+    # SQUAREQUAD_CACHE themselves override this for their own duration
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SQUAREQUAD_CACHE", str(tmp_path_factory.mktemp("squarequad-cache")))
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987234)

@@ -7,6 +7,8 @@ or the cached reference solves, so they separate "library broke" from
 "stored value disagrees".
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,100 @@ def test_condition_number_identity_and_cap():
     big = solve_nystrom(get_case("eq3").problem(), 70, 70, solver="gmres-sk")
     with pytest.raises(CapacityError):
         condition_number_inf(big)
+
+
+def test_factored_assembly_finds_nonfinite_entry_off_the_pivots():
+    case = get_case("eq2")
+    base = case.problem()
+    rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
+    x1, x2 = rule.nodes1, rule.nodes2
+    N = x1.size
+    pivot_rows, pivot_cols = set(), set()
+
+    def entries(rows, cols):
+        if rows.stop is not None and rows.stop - rows.start == 1:
+            pivot_rows.add(rows.start)
+        if cols.stop is not None and cols.stop - cols.start == 1:
+            pivot_cols.add(cols.start)
+        return base.kernel_values(x1[None, cols], x2[None, cols], x1[rows, None], x2[rows, None])
+
+    assert sq.linsolve.aca(entries, N, min(sq.fredholm._ACA_RANK_CAP, N // 2)) is not None
+    # a (collocation, integration) pair in no pivot row and no pivot column
+    p = next(i for i in range(N // 2, N) if i not in pivot_rows)
+    q = next(j for j in range(N // 3, N) if j not in pivot_cols)
+
+    def kernel(a1, a2, b1, b2):
+        vals = base.kernel(a1, a2, b1, b2)
+        hit = (a1 == x1[q]) & (a2 == x2[q]) & (b1 == x1[p]) & (b2 == x2[p])
+        return np.where(hit, np.nan, vals)
+
+    prob = FredholmProblem(base.w1, base.w2, base.u, base.rhs, kernel=kernel, mult=base.mult)
+    with pytest.raises(AssemblyError) as exc:
+        sq.assemble_system(prob, rule, realization="factored")
+    assert exc.value.node == (x1[q], x2[q])
+    assert f"({x1[p]:.17g}, {x2[p]:.17g})" in str(exc.value)
+
+
+def _assert_factored_matches_dense(prob, rule, rank, rng):
+    op, _ = sq.assemble_system(prob, rule, realization="factored")
+    dense_op, _ = sq.assemble_system(prob, rule, realization="dense")
+    assert op.realization == "factored"
+    assert op.rank == rank
+    v = rng.standard_normal(op.N)
+    want = dense_op.matvec(v)
+    assert np.max(np.abs(op.matvec(v) - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_rank_one_kernel_with_vanishing_first_row_stays_factored(rng):
+    w = JacobiWeight(-0.5, -0.5)
+    prob = FredholmProblem(
+        w, w, SpaceWeight(0.0, 0.0, 0.0, 0.0), RHS["exp-sin"],
+        kernel=lambda a1, a2, b1, b2: (1.0 + b1) * np.sin(a1 + a2),
+    )
+    rule = sq.antigauss_cubature(w, w, 8, 8)
+    # collocation row 0 sits at y1 = -1, so the first pivot row is all zeros
+    assert rule.nodes1[0] == -1.0
+    _assert_factored_matches_dense(prob, rule, 1, rng)
+
+
+def test_additive_kernel_stays_factored(rng):
+    # |x1 - y1| + |x2 - y2| has rank n1 + n2 - 1; after the first crosses its
+    # residual sits in rows that partial pivoting does not visit
+    case = get_case("eq2")
+    base = case.problem()
+    prob = FredholmProblem(
+        base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+        kernel=lambda a1, a2, b1, b2: np.abs(a1 - b1) + np.abs(a2 - b2),
+    )
+    rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
+    _assert_factored_matches_dense(prob, rule, 31, rng)
+
+
+def test_high_rank_kernel_falls_back_to_dense(monkeypatch):
+    case = get_case("eq2")
+    base = case.problem()
+    prob = FredholmProblem(
+        base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+        kernel=lambda a1, a2, b1, b2: np.hypot(a1 - b1, a2 - b2),
+    )
+    rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
+    op, _ = sq.assemble_system(prob, rule, realization="factored")
+    assert op.realization == "dense"
+    assert op.rank is None
+    dense_op, _ = sq.assemble_system(prob, rule, realization="dense")
+    assert np.array_equal(op.to_dense(), dense_op.to_dense())
+
+    monkeypatch.setattr(sq.fredholm, "_DENSE_LIMIT", 100)
+    rule = sq.gauss_cubature(case.w1, case.w2, 32, 32)
+    N = rule.npoints
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            sq.assemble_system(prob, rule, realization="factored")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N // 2
 
 
 def test_averaged_interpolant_validation_and_degenerate_case():

@@ -1,5 +1,7 @@
 """Dense/Krylov solvers, fold/unfold, Stein path."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import squarequad as sq
 from squarequad import ConvergenceError, fold, gmres, lu_solve, stein_solve, unfold
+from squarequad.linsolve import aca
 from squarequad.testproblems import get_case
 
 
@@ -128,3 +131,55 @@ def test_matvec_flop_accounting():
         op, h = sq.assemble_system(prob, rule, realization=real)
         op.matvec(np.ones(n))
         assert op.flops == expect
+    eq2 = get_case("eq2")
+    rule = sq.gauss_cubature(eq2.w1, eq2.w2, 8, 8)
+    op, _ = sq.assemble_system(eq2.problem(), rule, realization="factored")
+    op.matvec(np.ones(n))
+    assert op.realization == "factored"
+    assert op.flops == 4 * n * op.rank + 3 * n
+
+
+@pytest.mark.parametrize("kind", ["gauss", "antigauss"])
+@pytest.mark.parametrize("n1,n2", [(16, 16), (64, 16)])
+def test_factored_eq2_matches_dense(n1, n2, kind, rng):
+    # sin(x1+x2)(1+x1+y2) has rank 2
+    case = get_case("eq2")
+    prob = case.problem()
+    make = sq.gauss_cubature if kind == "gauss" else sq.antigauss_cubature
+    rule = make(case.w1, case.w2, n1, n2)
+    op, _ = sq.assemble_system(prob, rule, realization="factored")
+    dense_op, _ = sq.assemble_system(prob, rule, realization="dense")
+    assert op.realization == "factored"
+    assert op.rank == 2
+    assert dense_op.rank is None
+    v = rng.standard_normal(op.N)
+    want = dense_op.matvec(v)
+    assert np.max(np.abs(op.matvec(v) - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+    kappa = sq.condition_number_inf(op)
+    assert kappa == pytest.approx(sq.condition_number_inf(dense_op), rel=1e-10)
+
+
+def test_aca_recovers_exact_low_rank(rng):
+    A = rng.standard_normal((40, 2))
+    B = rng.standard_normal((40, 2))
+    K = A @ B.T
+    U, V = aca(lambda rows, cols: K[rows, cols], 40, 20)
+    assert U.shape[1] == 2
+    assert np.max(np.abs(U @ V.T - K)) < 1e-13 * np.max(np.abs(K))
+    assert aca(lambda rows, cols: K[rows, cols], 40, 1) is None
+    U, V = aca(lambda rows, cols: np.zeros((40, 40))[rows, cols], 40, 20)
+    assert U.shape == (40, 0)
+
+
+def test_stein_balances_unequal_factors():
+    # eq1 kernel pair at mult 0.40735, n=3 companion rule: radii 1.479 and
+    # 0.667, product 0.986; unbalanced squaring overflowed one factor
+    base = get_case("eq1").problem()
+    prob = sq.FredholmProblem(base.w1, base.w2, base.u, base.rhs,
+                              kernel_pair=base.kernel_pair, mult=0.40735)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = sq.solve_nystrom(prob, 3, 3, rulekind="antigauss", solver="stein")
+    assert sol.solver == "stein"
+    op, h = sq.assemble_system(prob, sol.rule, realization="separable")
+    assert np.linalg.norm(op.matvec(sol.coeffs) - h) <= 1e-13 * np.linalg.norm(h)
