@@ -28,19 +28,17 @@ import sys
 
 import numpy as np
 
-from .cubature import (
-    antigauss_cubature,
-    averaged_cubature,
-    error_estimate,
-    gauss_cubature,
-)
+from .cubature import antigauss_cubature, averaged_cubature, gauss_cubature
 from .errors import AssemblyError, CapacityError, ConvergenceError, EvaluationError
 from .fredholm import (
+    _LATTICE,
     FredholmProblem,
     SpaceWeight,
-    _weighted_values,
+    _lattice_values,
+    averaged_interpolant,
     bracketing_check,
     condition_number_inf,
+    relative_error,
     solve_nystrom,
 )
 from .orthopoly import JacobiWeight
@@ -132,10 +130,7 @@ def cmd_integrate(args) -> int:
     a = antigauss_cubature(
         w1, w2, args.n1, args.n2, allow_uncontained=args.allow_uncontained
     ).apply(f)
-    est = error_estimate(
-        f, w1, w2, args.n1, args.n2, allow_uncontained=args.allow_uncontained
-    )
-    vals = {"value_g": g, "value_a": a, "value_avg": 0.5 * (g + a), "r_est": est}
+    vals = {"value_g": g, "value_a": a, "value_avg": 0.5 * (g + a), "r_est": 0.5 * (a - g)}
     if args.format == "json":
         doc = {k: _fmt(v) for k, v in vals.items()}
         doc.update(n1=args.n1, n2=args.n2)
@@ -234,27 +229,17 @@ def cmd_solve(args) -> int:
     if sg.iterations is not None:
         report["iters"] = sg.iterations
 
-    yy1, yy2 = tp._midpoint_grid(50)
-    uvals = prob.u.eval(yy1, yy2)
-
-    def wvals(obj):
-        return _weighted_values(obj, yy1, yy2, prob.u)
-
-    vg = wvals(sg)
-    va = wvals(sa)
-    vavg = 0.5 * (vg + va)
-    has_ref = case is not None and (case.exact is not None or case.reference)
-    vref = tp._ref_grid(case) if has_ref else None
-    if vref is not None:
-        den = float(np.max(np.abs(vref)))
-        report["xi_g"] = float(np.max(np.abs(vg - vref)) / den)
-        report["xi_a"] = float(np.max(np.abs(va - vref)) / den)
-        report["xi_avg"] = float(np.max(np.abs(vavg - vref)) / den)
+    avg = averaged_interpolant(sg, sa)
+    if case is not None and (case.exact is not None or case.reference):
+        vref = tp._ref_grid(case)
+        for key, obj in (("xi_g", sg), ("xi_a", sa), ("xi_avg", avg)):
+            report[key] = relative_error(obj, vref)
     else:
         # no reference: the half-gap bounds the averaged error when the
         # interpolants bracket the solution
+        vg, va = _lattice_values(sg), _lattice_values(sa)
         report["gap_half_rel"] = float(
-            0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(vavg))
+            0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(_lattice_values(avg)))
         )
     kg, ka = _kappa_or_none(sg), _kappa_or_none(sa)
     report["kappa_g"] = kg if kg is not None else "skipped"
@@ -266,25 +251,15 @@ def cmd_solve(args) -> int:
     report["sign_changes"] = int(np.count_nonzero(np.diff(np.sign(br.sign))))
 
     if args.out is not None:
-        fG, fA = wvals(sg) / uvals, wvals(sa) / uvals
-        fAvg = 0.5 * (fG + fA)
+        uvals = prob.u.eval(*_LATTICE)
+        fG, fA = _lattice_values(sg) / uvals, _lattice_values(sa) / uvals
+        cols = (*_LATTICE, fG, fA, 0.5 * (fG + fA))
+        grid = [[_fmt(v) for v in row] for row in zip(*(c.ravel() for c in cols))]
         if args.format == "json":
-            doc = {
-                "n1": n1, "n2": n2,
-                "grid": [
-                    [_fmt(a), _fmt(b), _fmt(c), _fmt(d), _fmt(e)]
-                    for a, b, c, d, e in zip(
-                        yy1.ravel(), yy2.ravel(), fG.ravel(), fA.ravel(), fAvg.ravel()
-                    )
-                ],
-            }
+            doc = {"n1": n1, "n2": n2, "grid": grid}
             _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         else:
-            lines = ["y1,y2,fG,fA,fAvg"]
-            for a, b, c, d, e in zip(
-                yy1.ravel(), yy2.ravel(), fG.ravel(), fA.ravel(), fAvg.ravel()
-            ):
-                lines.append(",".join(map(_fmt, (a, b, c, d, e))))
+            lines = ["y1,y2,fG,fA,fAvg"] + [",".join(row) for row in grid]
             _emit("\n".join(lines) + "\n", args.out)
 
     for key in ("n1", "n2", "solver", "iters", "xi_g", "xi_a", "xi_avg",

@@ -35,10 +35,8 @@ __all__ = [
     "bracketing_check",
 ]
 
-_EVAL_BLOCK = 1024
-
-# low-rank kernel factors: the cross approximation's rank cap, and the
-# largest system that falls back to a dense matrix when no factors verify
+# the cross approximation's rank cap, and the largest system assembled as a
+# dense matrix, whether requested or as the fallback when no factors verify
 _ACA_RANK_CAP = 64
 _DENSE_LIMIT = 5000
 
@@ -155,10 +153,10 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
 
     ``factored`` builds cross factors K ~= U V^T with ``linsolve.aca``,
     verified in one blocked sweep over every row of K.  When no factors of
-    rank <= min(64, N / 2) pass, the system falls back to ``dense`` up to
-    5000 unknowns and raises CapacityError above that, before allocating
-    the matrix.  A non-finite kernel value raises AssemblyError naming its
-    integration node.
+    rank <= min(64, N / 2) pass, the system falls back to ``dense``.  A
+    dense system above 5000 unknowns, requested or as the fallback, raises
+    CapacityError before the matrix is allocated.  A non-finite kernel
+    value raises AssemblyError naming its integration node.
     """
     if rule.kind not in ("gauss", "antigauss"):
         raise ValueError(f"assembly needs a tensor rule, got kind {rule.kind!r}")
@@ -215,6 +213,11 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
         return vals
 
     def dense():
+        if N > _DENSE_LIMIT:
+            raise CapacityError(
+                f"a dense system of {N} unknowns exceeds {_DENSE_LIMIT}; only a kernel "
+                "pair or verified cross factors avoid the N x N matrix"
+            )
         K = entries(slice(None), slice(None))
         F = np.eye(N) - (uflat[:, None] * K) * dflat[None, :]
         return SystemOperator("dense", n1, n2, dense=F)
@@ -225,11 +228,6 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     factors = linsolve.aca(entries, N, rmax)
     if factors is not None:
         return SystemOperator("factored", n1, n2, u=uflat, d=dflat, factors=factors), h
-    if N > _DENSE_LIMIT:
-        raise CapacityError(
-            f"kernel has no verified cross approximation of rank <= {rmax}, and the "
-            f"dense fallback of {N} unknowns exceeds {_DENSE_LIMIT}"
-        )
     return dense(), h
 
 
@@ -244,6 +242,7 @@ class NystromSolution:
         self.coeffs = coeffs
         self.stats = stats
         self.op = op
+        self._on_lattice = None  # weighted values on the comparison lattice
 
     @property
     def iterations(self):
@@ -351,11 +350,11 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
         k1, k2 = prob.kernel_pair
         z1, z2 = rule.rule1.nodes, rule.rule2.nodes
         D = fold(da, z1.size, z2.size)
-        for lo in range(0, y1f.size, _EVAL_BLOCK):
-            hi = min(lo + _EVAL_BLOCK, y1f.size)
+        # a block holds rows of A1 and A2 plus kernel temporaries of equal width
+        for lo, hi in row_blocks(y1f.size, 2 * (z1.size + z2.size)):
             A1 = np.asarray(k1(z1[None, :], y1f[lo:hi, None]), dtype=float)
             A2 = np.asarray(k2(z2[None, :], y2f[lo:hi, None]), dtype=float)
-            acc[lo:hi] = prob.mult * np.einsum("pi,ij,pj->p", A1, D, A2)
+            acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
     else:
         for lo, hi in row_blocks(y1f.size, rule.npoints):
             kb = prob.kernel_values(
@@ -408,35 +407,61 @@ def averaged_interpolant(gauss_sol, anti_sol) -> AveragedInterpolant:
     return AveragedInterpolant(gauss_sol, anti_sol)
 
 
-def _midpoint_grid(npts: int):
-    pts = -1.0 + 2.0 * (np.arange(1, npts + 1) - 0.5) / npts
-    return np.meshgrid(pts, pts, indexing="ij")
+def _comparison_lattice():
+    pts = -1.0 + 2.0 * (np.arange(1, 51) - 0.5) / 50
+    y1, y2 = np.meshgrid(pts, pts, indexing="ij")
+    y1.setflags(write=False)
+    y2.setflags(write=False)
+    return y1, y2
 
 
-def _weighted_values(obj, y1, y2, u):
+# every error and bracketing measure compares weighted values on this 50 x 50
+# midpoint lattice, which keeps clear of the boundary where u may vanish
+_LATTICE = _comparison_lattice()
+
+
+def _lattice_values(obj, u: SpaceWeight | None = None) -> np.ndarray:
+    """Weighted values of ``obj`` on the comparison lattice.
+
+    A NystromSolution is evaluated at most once and keeps the array; an
+    AveragedInterpolant averages its two solutions' arrays; an array is
+    taken as values already on the lattice; any other object with ``eval``
+    is evaluated, and a plain callable is weighted with u.
+    """
+    if isinstance(obj, NystromSolution):
+        if obj._on_lattice is None:
+            fu = interpolant_eval(obj, *_LATTICE, unweighted=False)[0]
+            fu.setflags(write=False)
+            obj._on_lattice = fu
+        return obj._on_lattice
+    if isinstance(obj, AveragedInterpolant):
+        return 0.5 * (_lattice_values(obj.gauss_sol) + _lattice_values(obj.anti_sol))
+    if isinstance(obj, np.ndarray):
+        if obj.shape != _LATTICE[0].shape:
+            raise ValueError(f"lattice values need shape {_LATTICE[0].shape}, got {obj.shape}")
+        return obj
     if hasattr(obj, "eval"):
-        return np.asarray(obj.eval(y1, y2, unweighted=False)[0], dtype=float)
+        return np.asarray(obj.eval(*_LATTICE, unweighted=False)[0], dtype=float)
     if u is None:
         raise ValueError("a plain callable reference needs the space weight u")
-    return np.asarray(obj(y1, y2), dtype=float) * u.eval(y1, y2)
+    return np.asarray(obj(*_LATTICE), dtype=float) * u.eval(*_LATTICE)
 
 
-def relative_error(approx, ref, u: SpaceWeight | None = None, npts: int = 50) -> float:
-    """Weighted sup-norm distance on an interior grid, relative to ref.
+def relative_error(approx, ref, u: SpaceWeight | None = None) -> float:
+    """Weighted sup-norm distance on the comparison lattice, relative to ref.
 
-    Both arguments may be interpolants (anything with ``eval``) or plain
-    callables for a known solution; plain callables are weighted with u.
-    The grid is the npts x npts midpoint lattice, which keeps clear of
-    the boundary where u may vanish.
+    Both arguments may be interpolants (anything with ``eval``), plain
+    callables for a known solution, which are weighted with u, or arrays
+    of weighted values already on the lattice.  The lattice is the 50 x 50
+    midpoint grid, which keeps clear of the boundary where u may vanish.
     """
     if u is None:
         for obj in (approx, ref):
             if hasattr(obj, "problem"):
                 u = obj.problem.u
                 break
-    yy1, yy2 = _midpoint_grid(npts)
-    fa = _weighted_values(approx, yy1, yy2, u)
-    fr = _weighted_values(ref, yy1, yy2, u)
+    fa = _lattice_values(approx, u)
+    fr = _lattice_values(ref, u)
     denom = float(np.max(np.abs(fr)))
     if denom == 0.0:
         raise ValueError("reference is identically zero on the comparison grid")
@@ -445,7 +470,7 @@ def relative_error(approx, ref, u: SpaceWeight | None = None, npts: int = 50) ->
 
 @dataclass(frozen=True)
 class GridBracketing:
-    """Pointwise comparison of the two interpolants on the midpoint grid."""
+    """Pointwise comparison of the two interpolants on the comparison lattice."""
 
     sign: np.ndarray
     between: np.ndarray | None
@@ -456,21 +481,20 @@ class GridBracketing:
         return self.between is not None and bool(np.all(self.between))
 
 
-def bracketing_check(gauss_sol, anti_sol, ref=None, npts: int = 50) -> GridBracketing:
+def bracketing_check(gauss_sol, anti_sol, ref=None) -> GridBracketing:
     """Record where the reference sits between the two interpolants.
 
-    Without a reference only the sign pattern of (gauss - companion) is
-    recorded.  All comparisons use weighted values, so the check is
-    meaningful up to the boundary.
+    Without a reference only the sign pattern of (gauss - companion) on
+    the comparison lattice is recorded.  All comparisons use weighted
+    values, so the check is meaningful up to the boundary.
     """
-    yy1, yy2 = _midpoint_grid(npts)
-    fug = _weighted_values(gauss_sol, yy1, yy2, None)
-    fua = _weighted_values(anti_sol, yy1, yy2, None)
+    fug = _lattice_values(gauss_sol)
+    fua = _lattice_values(anti_sol)
     sign = np.sign(fug - fua).astype(np.int8)
     if ref is None:
         return GridBracketing(sign, None, None)
     u = gauss_sol.problem.u if hasattr(gauss_sol, "problem") else None
-    fur = _weighted_values(ref, yy1, yy2, u)
+    fur = _lattice_values(ref, u)
     lower = np.minimum(fug, fua)
     upper = np.maximum(fug, fua)
     between = (fur >= lower) & (fur <= upper)

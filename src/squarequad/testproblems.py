@@ -25,10 +25,9 @@ from .cubature import antigauss_cubature, gauss_cubature
 from .fredholm import (
     FredholmProblem,
     SpaceWeight,
-    _midpoint_grid,
-    _weighted_values,
-    averaged_interpolant,
+    _lattice_values,
     condition_number_inf,
+    relative_error,
     solve_nystrom,
 )
 from .orthopoly import JacobiWeight
@@ -507,10 +506,9 @@ def _solution(case, n1, n2, rulekind, solver=None):
 
 
 def _ref_grid(case) -> np.ndarray:
-    """Weighted reference values on the 50 x 50 midpoint lattice."""
-    yy1, yy2 = _midpoint_grid(50)
+    """Weighted reference values on the comparison lattice."""
     if case.exact is not None:
-        return _weighted_values(case.exact, yy1, yy2, case.u)
+        return _lattice_values(case.exact, case.u)
 
     def build():
         m1, m2 = case.reference
@@ -518,25 +516,20 @@ def _ref_grid(case) -> np.ndarray:
             case.problem(), m1, m2, rulekind="gauss", solver=case.solver,
             allow_uncontained=case.allow_uncontained,
         )
-        return _weighted_values(sol, yy1, yy2, case.u)
+        return _lattice_values(sol)
 
     return _cached(case.id, "ref_grid", build)
 
 
 def _xi(case, size, which, solver) -> float:
-    n1, n2 = size
-    ref = _ref_grid(case)
-    yy1, yy2 = _midpoint_grid(50)
+    def vals(kind):
+        return _lattice_values(_solution(case, size[0], size[1], kind, solver))
+
     if which == "avg":
-        interp = averaged_interpolant(
-            _solution(case, n1, n2, "gauss", solver),
-            _solution(case, n1, n2, "antigauss", solver),
-        )
+        approx = 0.5 * (vals("gauss") + vals("antigauss"))
     else:
-        kind = "gauss" if which == "g" else "antigauss"
-        interp = _solution(case, n1, n2, kind, solver)
-    vals = _weighted_values(interp, yy1, yy2, case.u)
-    return float(np.max(np.abs(vals - ref)) / np.max(np.abs(ref)))
+        approx = vals("gauss" if which == "g" else "antigauss")
+    return relative_error(approx, _ref_grid(case))
 
 
 def _kappa(case, size, which, solver) -> float:

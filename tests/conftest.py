@@ -30,6 +30,22 @@ def rng():
     return np.random.default_rng(987234)
 
 
+@pytest.fixture
+def interpolant_evals(monkeypatch):
+    """Rule kinds of the solutions passed to interpolant_eval, one per call."""
+    from squarequad import fredholm
+
+    calls = []
+    evaluate = fredholm.interpolant_eval
+
+    def spy(sol, *args, **kwargs):
+        calls.append(sol.rulekind)
+        return evaluate(sol, *args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "interpolant_eval", spy)
+    return calls
+
+
 _CRIT = re.compile(r"test_criterion_(\d+)")
 _outcomes: dict = {}
 

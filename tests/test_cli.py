@@ -110,6 +110,20 @@ def test_solve_eq1_report(capsys):
     assert float(report["fraction_between"]) > 0.99
 
 
+def test_solve_evaluates_each_solution_once(capsys, tmp_path, interpolant_evals):
+    # xi, bracketing and the --out grid all read the same lattice values
+    from squarequad import testproblems as tp
+
+    tp._ref_grid(tp.get_case("eq3"))
+    interpolant_evals.clear()
+    code, _, _ = _run(
+        capsys, "solve", "--case", "eq3", "--n1", "8", "--n2", "8",
+        "--out", str(tmp_path / "grid.csv"),
+    )
+    assert code == 0
+    assert sorted(interpolant_evals) == ["antigauss", "gauss"]
+
+
 def _solve_report(capsys, *argv):
     code, out, _ = _run(capsys, "solve", *argv)
     assert code == 0

@@ -27,6 +27,7 @@ from squarequad import (
     relative_error,
     solve_nystrom,
 )
+from squarequad.cli import main as cli_main
 from squarequad.testproblems import KERNELS_1D, RHS, get_case
 
 
@@ -293,6 +294,53 @@ def test_high_rank_kernel_falls_back_to_dense(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * N * N // 2
+
+
+def test_dense_assembly_capped_for_every_solver(monkeypatch, capsys):
+    monkeypatch.setattr(sq.fredholm, "_DENSE_LIMIT", 100)
+    prob = get_case("eq3").problem()
+    N = 16 * 16
+    for solver in ("lu", "gmres"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                solve_nystrom(prob, 16, 16, solver=solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * N * N // 2
+    argv = ["solve", "--case", "eq3", "--n1", "16", "--n2", "16", "--solver", "lu"]
+    assert cli_main(argv) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_separable_eval_matches_single_callable(rng):
+    # the axis-factored contraction against the kernel as one callable, with
+    # the same coefficients; the point count ends on a partial block
+    base = get_case("eq4").problem()
+    k1, k2 = base.kernel_pair
+    single = FredholmProblem(
+        base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+        kernel=lambda a1, a2, b1, b2: k1(a1, b1) * k2(a2, b2),
+    )
+    sol = solve_nystrom(base, 5, 7)
+    twin = sq.fredholm.NystromSolution(
+        single, sol.rule, sol.rulekind, sol.solver, sol.coeffs, None, None
+    )
+    npts = 2 * (sq.linsolve._BLOCK_ENTRIES // (2 * (5 + 7))) + 7
+    y1, y2 = rng.uniform(-1.0, 1.0, (2, npts))
+    fs, _ = interpolant_eval(sol, y1, y2, unweighted=False)
+    fn, _ = interpolant_eval(twin, y1, y2, unweighted=False)
+    assert np.max(np.abs(fs - fn)) <= 1e-13 * np.max(np.abs(fn))
+
+
+def test_averaged_lattice_values_match_eval():
+    prob = get_case("eq3").problem()
+    avg = averaged_interpolant(
+        solve_nystrom(prob, 6, 6), solve_nystrom(prob, 6, 6, rulekind="antigauss")
+    )
+    want, _ = avg.eval(*sq.fredholm._LATTICE, unweighted=False)
+    assert np.array_equal(sq.fredholm._lattice_values(avg), want)
 
 
 def test_averaged_interpolant_validation_and_degenerate_case():

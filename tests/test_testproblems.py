@@ -118,3 +118,12 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert sorted(tmp_path.glob("*.npz")) == sorted(files + [tmp_path / f"case-eq1-{'0' * 64}.npz"])
     assert [r.computed for r in first.rows] == [r.computed for r in third.rows]
     tp.clear_memo()
+
+
+def test_table_row_evaluates_each_solution_once(interpolant_evals):
+    # xi_g, xi_a and xi_avg all read the two solutions' lattice values
+    tp.clear_memo()
+    tp._ref_grid(get_case("eq3"))
+    interpolant_evals.clear()
+    run_case("eq3", sizes=[(16, 16)])
+    assert sorted(interpolant_evals) == ["antigauss", "gauss"]
