@@ -41,7 +41,7 @@ from .fredholm import (
     relative_error,
     solve_nystrom,
 )
-from .orthopoly import JacobiWeight
+from .orthopoly import JacobiWeight, _size
 from . import testproblems as tp
 
 __all__ = ["main", "build_parser"]
@@ -216,7 +216,7 @@ def cmd_solve(args) -> int:
             args.n2 = file_sizes[1]
     if args.n1 is None or args.n2 is None:
         raise ValueError("sizes required: pass --n1/--n2 or put n1/n2 in the file")
-    n1, n2 = int(args.n1), int(args.n2)
+    n1, n2 = _size(args.n1, "n1"), _size(args.n2, "n2")
 
     sg = solve_nystrom(prob, n1, n2, rulekind="gauss", solver=solver,
                        tol=args.tol, allow_uncontained=allow)

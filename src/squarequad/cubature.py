@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .orthopoly import JacobiWeight, eval_orthonormal, recurrence_coeffs
+from .orthopoly import JacobiWeight, _size, eval_orthonormal, recurrence_coeffs
 from .rules import QuadRule1D, antigauss_rule, gauss_rule
 
 __all__ = [
@@ -79,14 +79,16 @@ def _tensorize(kind, w1, w2, n1, n2, r1, r2) -> CubatureRule2D:
     return CubatureRule2D(kind, w1, w2, n1, n2, x1, x2, lam, rule1=r1, rule2=r2)
 
 
-def _check_sizes(n1, n2):
+def _check_sizes(n1, n2) -> tuple[int, int]:
+    n1, n2 = _size(n1, "n1"), _size(n2, "n2")
     if n1 < 1 or n2 < 1:
         raise ValueError(f"rule sizes must be positive, got ({n1}, {n2})")
+    return n1, n2
 
 
 def gauss_cubature(w1: JacobiWeight, w2: JacobiWeight, n1: int, n2: int) -> CubatureRule2D:
     """Tensor Gauss rule with n1 x n2 points."""
-    _check_sizes(n1, n2)
+    n1, n2 = _check_sizes(n1, n2)
     return _tensorize("gauss", w1, w2, n1, n2, gauss_rule(w1, n1), gauss_rule(w2, n2))
 
 
@@ -103,7 +105,7 @@ def antigauss_cubature(
     ``allow_uncontained`` is set; integrands defined beyond the boundary
     make the override safe.
     """
-    _check_sizes(n1, n2)
+    n1, n2 = _check_sizes(n1, n2)
     r1 = antigauss_rule(w1, n1)
     r2 = antigauss_rule(w2, n2)
     if not (r1.contained and r2.contained) and not allow_uncontained:
@@ -135,7 +137,7 @@ def averaged_cubature(
     lam = 0.5 * np.concatenate([g.weights, a.weights])
     for arr in (x1, x2, lam):
         arr.flags.writeable = False
-    return CubatureRule2D("averaged", w1, w2, n1, n2, x1, x2, lam, parts=(g, a))
+    return CubatureRule2D("averaged", w1, w2, g.n1, g.n2, x1, x2, lam, parts=(g, a))
 
 
 def error_estimate(f, w1, w2, n1, n2, allow_uncontained: bool = False) -> float:

@@ -46,6 +46,19 @@ class RecurrenceCoeffs:
         return self.a.size
 
 
+def _size(n, name: str = "n") -> int:
+    """n as an int: a Python or numpy integer, or a float equal to one.
+
+    Raises ValueError for anything else, so that a size of 2.5 is refused
+    rather than truncated.
+    """
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool):
+        return int(n)
+    if isinstance(n, (float, np.floating)) and float(n).is_integer():
+        return int(n)
+    raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 @lru_cache(maxsize=None)
 def _recurrence_cached(alpha: float, beta: float, n: int) -> RecurrenceCoeffs:
     s = alpha + beta
@@ -95,9 +108,10 @@ def recurrence_coeffs(w: JacobiWeight, n: int) -> RecurrenceCoeffs:
     RecurrenceCoeffs
         Arrays of length n + 1.  Results are cached per (weight, n).
     """
+    n = _size(n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _recurrence_cached(float(w.alpha), float(w.beta), int(n))
+    return _recurrence_cached(float(w.alpha), float(w.beta), n)
 
 
 def eval_orthonormal(c: RecurrenceCoeffs, x, n: int) -> np.ndarray:

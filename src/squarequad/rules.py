@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthopoly import JacobiWeight, recurrence_coeffs
+from .orthopoly import JacobiWeight, _size, recurrence_coeffs
 from .tridiag import eig_tridiag
 
 __all__ = ["QuadRule1D", "gauss_rule", "antigauss_rule", "nodes_contained"]
@@ -87,11 +87,16 @@ def _antigauss_cached(alpha: float, beta: float, n: int) -> QuadRule1D:
     return QuadRule1D("antigauss", w, values, mu, contained=contained)
 
 
-def gauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
-    """The n-point Gauss rule for weight w.  Exact to degree 2n - 1."""
+def _rule_size(n) -> int:
+    n = _size(n, "rule size")
     if n < 1:
         raise ValueError(f"rule size must be positive, got {n}")
-    return _gauss_cached(float(w.alpha), float(w.beta), int(n))
+    return n
+
+
+def gauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
+    """The n-point Gauss rule for weight w.  Exact to degree 2n - 1."""
+    return _gauss_cached(float(w.alpha), float(w.beta), _rule_size(n))
 
 
 def antigauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
@@ -102,6 +107,4 @@ def antigauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
     returned, flagged through the ``contained`` field, and the square
     constructors decide whether to accept it.
     """
-    if n < 1:
-        raise ValueError(f"rule size must be positive, got {n}")
-    return _antigauss_cached(float(w.alpha), float(w.beta), int(n))
+    return _antigauss_cached(float(w.alpha), float(w.beta), _rule_size(n))

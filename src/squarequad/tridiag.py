@@ -2,6 +2,14 @@
 
 Implicit-shift QL sweeps; only the first row of the eigenvector matrix is
 accumulated, which is the part node-weight extraction needs.
+
+The sweep runs on Python lists of Python floats rather than on ndarrays.
+Indexing an ndarray creates an ``np.float64`` for every element read and
+sends each arithmetic operation through numpy's scalar path, which costs
+several times the arithmetic itself.  Python floats and ``np.float64``
+perform the same IEEE-754 double operations, and the operations run in
+the same order, so the values and first components are bit-for-bit those
+of the same sweep on numpy scalars.
 """
 
 from __future__ import annotations
@@ -41,23 +49,28 @@ def eig_tridiag(diag, offdiag) -> EigFirstComponents:
 
     Raises
     ------
+    ValueError
+        If the matrix is empty, the lengths do not match, or an entry is
+        not finite.
     ConvergenceError
         If some eigenvalue needs more than 30 QL sweeps; ``index``
         identifies the stuck position.
     """
-    d = np.array(diag, dtype=float)
+    d = np.asarray(diag, dtype=float)
     n = d.size
     if n == 0:
         raise ValueError("matrix must be at least 1 x 1")
-    e = np.zeros(n)
     off = np.asarray(offdiag, dtype=float)
     if off.size != n - 1:
         raise ValueError(f"offdiag must have length {n - 1}, got {off.size}")
-    e[: n - 1] = off
-    z = np.zeros(n)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(off))):
+        raise ValueError("diag and offdiag must be finite")
+    d = d.ravel().tolist()
+    e = off.ravel().tolist() + [0.0]
+    z = [0.0] * n
     z[0] = 1.0
 
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     for l in range(n):
         sweeps = 0
         while True:
@@ -107,5 +120,7 @@ def eig_tridiag(diag, offdiag) -> EigFirstComponents:
             e[l] = g
             e[m] = 0.0
 
+    d = np.array(d)
+    z = np.array(z)
     order = np.argsort(d, kind="stable")
     return EigFirstComponents(d[order], z[order])

@@ -2,8 +2,12 @@
 
 Everything here is deliberately written against different algorithms than
 the library (bisection instead of QL, mpmath instead of float recurrences)
-so agreement is evidence, not circularity.
+so agreement is evidence, not circularity.  The one exception is
+``ql_numpy_scalars``: a frozen copy of the library's QL sweep as it ran on
+numpy scalars, kept so the tests can demand bit-for-bit agreement with it.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -43,6 +47,70 @@ def tridiag_eigvals_bisect(d, e, tol=1e-14) -> np.ndarray:
                 hi = mid
         out[k] = 0.5 * (lo + hi)
     return out
+
+
+def ql_numpy_scalars(diag, offdiag):
+    """Eigenvalues (ascending) and first eigenvector components by QL.
+
+    The implicit-shift QL sweep with every read, operation and store on
+    ndarray elements (numpy scalars).  ``eig_tridiag`` must reproduce its
+    output bit for bit; do not edit the arithmetic.
+    """
+    d = np.array(diag, dtype=float)
+    n = d.size
+    e = np.zeros(n)
+    e[: n - 1] = np.asarray(offdiag, dtype=float)
+    z = np.zeros(n)
+    z[0] = 1.0
+
+    eps = np.finfo(float).eps
+    for l in range(n):
+        sweeps = 0
+        while True:
+            for m in range(l, n - 1):
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                    break
+            else:
+                m = n - 1
+            if m == l:
+                break
+            if sweeps == 30:
+                raise RuntimeError(f"eigenvalue {l} not converged after 30 sweeps")
+            sweeps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                f = z[i + 1]
+                z[i + 1] = s * z[i] + c * f
+                z[i] = c * z[i] - s * f
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+
+    order = np.argsort(d, kind="stable")
+    return d[order], z[order]
 
 
 def jacobi_b0(alpha: float, beta: float) -> float:

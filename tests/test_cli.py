@@ -176,6 +176,22 @@ def test_solve_problem_file_validation(capsys, tmp_path):
     assert "kernel" in err
 
 
+def test_solve_problem_file_rejects_non_integral_sizes(capsys, tmp_path):
+    prob = {"kernel_pair": ["exp-negprod", "exp-negprod"], "rhs": "cos-pow-sinroot",
+            "n1": 6.7, "n2": 4.2}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    code, out, err = _run(capsys, "solve", "--problem", str(path))
+    assert code == 2
+    assert out == ""
+    assert "n1 must be an integer, got 6.7" in err
+    prob.update(n1=6.0, n2=4)
+    path.write_text(json.dumps(prob))
+    code, out, _ = _run(capsys, "solve", "--problem", str(path))
+    assert code == 0
+    assert "n1=6\n" in out
+
+
 def test_solve_requires_one_source(capsys):
     code, _, _ = _run(capsys, "solve", "--case", "eq1", "--problem", "x.json")
     assert code == 2

@@ -145,3 +145,14 @@ def test_chebyshev_terms_zero_for_core_poly(rng):
     _, p = random_poly_pair(rng, 5, 5)
     rep = chebyshev_bracketing_terms(p, 3, 3)
     assert abs(rep.theta) < 1e-10
+
+
+@pytest.mark.parametrize("make", [gauss_cubature, antigauss_cubature, averaged_cubature])
+def test_non_integral_sizes_rejected(make):
+    with pytest.raises(ValueError, match="n1 must be an integer"):
+        make(LEG, LEG, 2.5, 3)
+    with pytest.raises(ValueError, match="n2 must be an integer"):
+        make(LEG, LEG, 2, 3.9)
+    r = make(LEG, LEG, 2.0, np.int64(3))
+    assert (r.n1, r.n2) == (2, 3) and type(r.n1) is int and type(r.n2) is int
+    assert r.npoints == make(LEG, LEG, 2, 3).npoints

@@ -99,3 +99,10 @@ def test_orthonormality_against_quadrature_oracle():
                 w.beta,
             )
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=5e-9)
+
+
+def test_non_integral_degree_rejected():
+    w = JacobiWeight(0.0, 0.0)
+    with pytest.raises(ValueError, match="integer"):
+        recurrence_coeffs(w, 3.7)
+    assert len(recurrence_coeffs(w, 3.0)) == len(recurrence_coeffs(w, np.int32(3))) == 4

@@ -111,3 +111,14 @@ def test_gauss_degree_exactness_vs_moment_oracle(n, seed):
     got = r.weights @ np.polynomial.polynomial.polyval(r.nodes, coef)
     scale = max(1.0, np.sum(np.abs(coef)))
     assert abs(got - exact) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("make", [gauss_rule, antigauss_rule])
+def test_non_integral_size_rejected(make):
+    w = JacobiWeight(0.0, 0.0)
+    for bad in (2.5, np.float64(2.5), float("inf"), float("nan"), "3", True):
+        with pytest.raises(ValueError):
+            make(w, bad)
+    ref = make(w, 3)
+    for ok in (3.0, np.int64(3), np.float32(3.0)):
+        assert make(w, ok) is ref

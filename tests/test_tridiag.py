@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squarequad import ConvergenceError, eig_tridiag
+from squarequad import ConvergenceError, JacobiWeight, eig_tridiag, recurrence_coeffs
 
-from oracles import tridiag_eigvals_bisect
+from oracles import ql_numpy_scalars, tridiag_eigvals_bisect
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, width=64)
 
@@ -81,3 +81,45 @@ def test_cauchy_interlacing(rng):
 def test_mismatched_lengths_rejected():
     with pytest.raises((ValueError, ConvergenceError)):
         eig_tridiag(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+
+
+def _assert_bits_match_numpy_scalar_sweep(d, e):
+    try:
+        values, firstcomp = ql_numpy_scalars(d, e)
+    except RuntimeError:
+        with pytest.raises(ConvergenceError):
+            eig_tridiag(d, e)
+        return
+    out = eig_tridiag(d, e)
+    assert np.array_equal(out.values, values)
+    assert np.array_equal(out.firstcomp, firstcomp)
+
+
+@pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (-0.5, 0.0), (1.0, 1.25)])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 189])
+def test_bit_identical_to_numpy_scalar_sweep_on_jacobi_matrices(ab, n):
+    c = recurrence_coeffs(JacobiWeight(*ab), n)
+    off = np.sqrt(c.b[1:n])
+    # the Gauss matrix and the same matrix bordered with sqrt(2 b_n)
+    _assert_bits_match_numpy_scalar_sweep(c.a[:n], off)
+    _assert_bits_match_numpy_scalar_sweep(c.a[: n + 1], np.append(off, np.sqrt(2.0 * c.b[n])))
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_bit_identical_to_numpy_scalar_sweep_on_random_matrices(data, n):
+    d = data.draw(hnp.arrays(np.float64, n, elements=finite))
+    e = data.draw(hnp.arrays(np.float64, n - 1, elements=st.one_of(st.just(0.0), finite)))
+    _assert_bits_match_numpy_scalar_sweep(d, e)
+
+
+@pytest.mark.parametrize(
+    "d, e",
+    [([np.nan], []), ([1.0, np.inf], [0.5]), ([1.0, 2.0], [np.nan]), ([1.0, 2.0, 3.0], [np.inf, 1.0])],
+)
+def test_nonfinite_input_rejected(d, e):
+    with pytest.raises(ValueError, match="finite"):
+        eig_tridiag(d, e)
