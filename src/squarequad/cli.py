@@ -35,10 +35,8 @@ from .fredholm import (
     FredholmProblem,
     SpaceWeight,
     _lattice_values,
-    averaged_interpolant,
     bracketing_check,
     condition_number_inf,
-    relative_error,
     solve_nystrom,
 )
 from .orthopoly import JacobiWeight, _size
@@ -190,11 +188,11 @@ def _problem_from_json(path: str) -> tuple:
     return prob, sizes
 
 
-def _kappa_or_none(sol):
+def _kappa_or_skipped(sol):
     try:
         return condition_number_inf(sol)
     except CapacityError:
-        return None
+        return "skipped"
 
 
 def cmd_solve(args) -> int:
@@ -229,25 +227,19 @@ def cmd_solve(args) -> int:
     if sg.iterations is not None:
         report["iters"] = sg.iterations
 
-    avg = averaged_interpolant(sg, sa)
     if case is not None and (case.exact is not None or case.reference):
-        vref = tp._ref_grid(case)
-        for key, obj in (("xi_g", sg), ("xi_a", sa), ("xi_avg", avg)):
-            report[key] = relative_error(obj, vref)
+        report.update(tp._xi_values(sg, sa, tp._ref_grid(case)))
     else:
         # no reference: the half-gap bounds the averaged error when the
         # interpolants bracket the solution
         vg, va = _lattice_values(sg), _lattice_values(sa)
         report["gap_half_rel"] = float(
-            0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(_lattice_values(avg)))
+            0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
         )
-    kg, ka = _kappa_or_none(sg), _kappa_or_none(sa)
-    report["kappa_g"] = kg if kg is not None else "skipped"
-    report["kappa_a"] = ka if ka is not None else "skipped"
+    report["kappa_g"] = _kappa_or_skipped(sg)
+    report["kappa_a"] = _kappa_or_skipped(sa)
     br = bracketing_check(sg, sa, ref=case.exact if case is not None else None)
-    report["fraction_between"] = (
-        br.fraction_between if br.fraction_between is not None else "n/a"
-    )
+    report["fraction_between"] = "n/a" if br.fraction_between is None else br.fraction_between
     report["sign_changes"] = int(np.count_nonzero(np.diff(np.sign(br.sign))))
 
     if args.out is not None:
@@ -262,12 +254,7 @@ def cmd_solve(args) -> int:
             lines = ["y1,y2,fG,fA,fAvg"] + [",".join(row) for row in grid]
             _emit("\n".join(lines) + "\n", args.out)
 
-    for key in ("n1", "n2", "solver", "iters", "xi_g", "xi_a", "xi_avg",
-                "gap_half_rel", "kappa_g", "kappa_a", "fraction_between",
-                "sign_changes"):
-        if key not in report:
-            continue
-        val = report[key]
+    for key, val in report.items():
         shown = _fmt(val) if isinstance(val, float) else str(val)
         sys.stdout.write(f"{key}={shown}\n")
     return 0
@@ -280,6 +267,8 @@ def cmd_solve(args) -> int:
 def cmd_reproduce(args) -> int:
     ident = args.id
     if ident in ("fig1", "fig1-left", "fig1-right"):
+        if args.format == "json":
+            raise ValueError(f"{ident} data is CSV only; drop --format json")
         from .cubature import bracketing_diagnostic
 
         parts = []
@@ -309,8 +298,7 @@ def cmd_reproduce(args) -> int:
         raise ValueError(f"unknown reproduce id {ident!r}")
     case_id = _TABLES[ident]
     report = tp.run_case(case_id)
-    case = tp.get_case(case_id)
-    metrics = [m for m in tp._METRIC_ORDER if any(m in t for _, t in case.rows)]
+    metrics = [m for m in tp._METRIC_ORDER if any(r.metric == m for r in report.rows)]
     by_size: dict = {}
     for r in report.rows:
         by_size.setdefault(r.size, {})[r.metric] = r

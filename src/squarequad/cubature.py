@@ -36,7 +36,7 @@ class CubatureRule2D:
 
     The flat index runs through axis 1 fastest.  ``rule1``/``rule2`` hold
     the univariate factors for the tensor kinds and are None for the
-    averaged rule, whose constituents sit in ``parts``.
+    averaged rule.
     """
 
     kind: str
@@ -49,7 +49,6 @@ class CubatureRule2D:
     weights: np.ndarray
     rule1: QuadRule1D | None = None
     rule2: QuadRule1D | None = None
-    parts: tuple = ()
 
     @property
     def npoints(self) -> int:
@@ -137,7 +136,7 @@ def averaged_cubature(
     lam = 0.5 * np.concatenate([g.weights, a.weights])
     for arr in (x1, x2, lam):
         arr.flags.writeable = False
-    return CubatureRule2D("averaged", w1, w2, g.n1, g.n2, x1, x2, lam, parts=(g, a))
+    return CubatureRule2D("averaged", w1, w2, g.n1, g.n2, x1, x2, lam)
 
 
 def error_estimate(f, w1, w2, n1, n2, allow_uncontained: bool = False) -> float:
@@ -183,7 +182,7 @@ def _default_cutoffs(n1, n2, cutoffs):
         m = 6 * max(n1, n2)
         return m, m
     m1, m2 = cutoffs
-    return int(m1), int(m2)
+    return _size(m1, "cutoff1"), _size(m2, "cutoff2")
 
 
 def _coefficient_matrix(f, w1, w2, m1, m2):

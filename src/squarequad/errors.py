@@ -25,7 +25,7 @@ class EvaluationError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    """System assembly hit an invalid value, e.g. a vanishing space weight."""
+    """A vanishing space weight, or a non-finite kernel value in assembly or interpolation."""
 
     def __init__(self, message, *, node=None):
         super().__init__(message)

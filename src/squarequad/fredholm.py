@@ -144,12 +144,50 @@ def _axis_weight_values(problem, rule):
     return out
 
 
-def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization: str = "auto"):
+def _rhs_values(problem, y1, y2) -> np.ndarray:
+    """g at the flat points (y1, y2); EvaluationError names a non-finite one."""
+    vals = np.broadcast_to(np.asarray(problem.rhs(y1, y2), dtype=float), y1.shape)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise EvaluationError(
+            f"right-hand side not finite at ({y1[i]:.17g}, {y2[i]:.17g})",
+            node=(y1[i], y2[i]),
+        )
+    return vals
+
+
+def _kernel_block(problem, x1, x2, y1, y2) -> np.ndarray:
+    """Checked kernel block K[i, j] = k(x_j; y_i), integration nodes x, points y."""
+    vals = problem.kernel_values(x1[None, :], x2[None, :], y1[:, None], y2[:, None])
+    if not np.all(np.isfinite(vals)):
+        r, c = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
+        raise AssemblyError(
+            f"kernel not finite at integration node ({x1[c]:.17g}, {x2[c]:.17g}), "
+            f"point ({y1[r]:.17g}, {y2[r]:.17g})",
+            node=(x1[c], x2[c]),
+        )
+    return vals
+
+
+def _axis_block(problem, axis: int, x, y) -> np.ndarray:
+    """Checked axis factor block k_l(x_j, y_i), integration nodes x, points y."""
+    vals = np.asarray(problem.kernel_pair[axis - 1](x[None, :], y[:, None]), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        r, c = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
+        raise AssemblyError(
+            f"axis-{axis} kernel factor not finite at integration node {x[c]:.17g}, "
+            f"point {y[r]:.17g}",
+            node=(axis, x[c]),
+        )
+    return vals
+
+
+def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization: str):
     """Collocation system (I - Phi) a = (g u)(nodes) on the rule's grid.
 
     Returns (operator, rhs).  ``realization`` picks the operator storage:
-    ``separable`` (needs a kernel pair), ``factored``, ``dense``, or
-    ``auto`` to choose the cheapest form the kernel supports.
+    ``separable`` (needs a kernel pair), ``factored`` or ``dense``.
 
     ``factored`` builds cross factors K ~= U V^T with ``linsolve.aca``,
     verified in one blocked sweep over every row of K.  When no factors of
@@ -160,8 +198,8 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     """
     if rule.kind not in ("gauss", "antigauss"):
         raise ValueError(f"assembly needs a tensor rule, got kind {rule.kind!r}")
-    if realization == "auto":
-        realization = "separable" if problem.separable else "factored"
+    if realization not in ("separable", "factored", "dense"):
+        raise ValueError(f"unknown realization {realization!r}")
     if realization == "separable" and not problem.separable:
         raise ValueError("separable realization needs a kernel pair")
 
@@ -169,27 +207,15 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     uflat = np.tile(u1, u2.size) * np.repeat(u2, u1.size)
     dflat = rule.weights / uflat
 
-    gvals = np.asarray(problem.rhs(rule.nodes1, rule.nodes2), dtype=float)
-    gvals = np.broadcast_to(gvals, rule.nodes1.shape)
-    bad = ~np.isfinite(gvals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(
-            f"right-hand side not finite at ({rule.nodes1[i]:.17g}, {rule.nodes2[i]:.17g})",
-            node=(rule.nodes1[i], rule.nodes2[i]),
-        )
-    h = gvals * uflat
+    h = _rhs_values(problem, rule.nodes1, rule.nodes2) * uflat
 
     n1 = rule.rule1.npoints
     n2 = rule.rule2.npoints
 
     if realization == "separable":
-        k1, k2 = problem.kernel_pair
         x1, x2 = rule.rule1.nodes, rule.rule2.nodes
-        K1 = np.asarray(k1(x1[None, :], x1[:, None]), dtype=float)
-        K2 = np.asarray(k2(x2[None, :], x2[:, None]), dtype=float)
-        if not (np.all(np.isfinite(K1)) and np.all(np.isfinite(K2))):
-            raise AssemblyError("axis kernel factor not finite on the node grid")
+        K1 = _axis_block(problem, 1, x1, x1)
+        K2 = _axis_block(problem, 2, x2, x2)
         phi1 = problem.mult * rule.rule1.weights[None, :] * (u1[:, None] / u1[None, :]) * K1
         phi2 = rule.rule2.weights[None, :] * (u2[:, None] / u2[None, :]) * K2
         op = SystemOperator("separable", n1, n2, phi1=phi1, phi2=phi2)
@@ -199,18 +225,7 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     N = n1 * n2
 
     def entries(rows, cols):
-        vals = problem.kernel_values(
-            x1f[None, cols], x2f[None, cols], x1f[rows, None], x2f[rows, None]
-        )
-        if not np.all(np.isfinite(vals)):
-            r, c = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
-            r, c = np.arange(N)[rows][r], np.arange(N)[cols][c]
-            raise AssemblyError(
-                f"kernel not finite at integration node ({x1f[c]:.17g}, {x2f[c]:.17g}), "
-                f"collocation node ({x1f[r]:.17g}, {x2f[r]:.17g})",
-                node=(x1f[c], x2f[c]),
-            )
-        return vals
+        return _kernel_block(problem, x1f[cols], x2f[cols], x1f[rows], x2f[rows])
 
     def dense():
         if N > _DENSE_LIMIT:
@@ -321,7 +336,8 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
 
     Returns (fu, f); ``f`` is None when ``unweighted`` is False.  Asking
     for the plain value where u vanishes is a domain error, while the
-    weighted value extends continuously to the whole closed square.
+    weighted value extends continuously to the whole closed square.  A
+    kernel value that is not finite raises AssemblyError, as in assembly.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -333,15 +349,7 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     rule = sol.rule
 
     uy = prob.u.eval(y1f, y2f)
-    gy = np.asarray(prob.rhs(y1f, y2f), dtype=float)
-    gy = np.broadcast_to(gy, y1f.shape)
-    bad = ~np.isfinite(gy)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(
-            f"right-hand side not finite at ({y1f[i]:.17g}, {y2f[i]:.17g})",
-            node=(y1f[i], y2f[i]),
-        )
+    gy = _rhs_values(prob, y1f, y2f)
 
     da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
     acc = np.empty(y1f.size)
@@ -361,6 +369,17 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
                 rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]
             )
             acc[lo:hi] = kb @ da
+    bad = ~np.isfinite(acc)
+    if np.any(bad):
+        # a non-finite kernel value spoils the sum at its point, so only the
+        # first such point is evaluated again through the checked blocks
+        i = int(np.argmax(bad))
+        p1, p2 = y1f[i : i + 1], y2f[i : i + 1]
+        if prob.separable:
+            _axis_block(prob, 1, rule.rule1.nodes, p1)
+            _axis_block(prob, 2, rule.rule2.nodes, p2)
+        else:
+            _kernel_block(prob, rule.nodes1, rule.nodes2, p1, p2)
     fu = (gy * uy + uy * acc).reshape(shape)
 
     if not unweighted:
@@ -475,10 +494,6 @@ class GridBracketing:
     sign: np.ndarray
     between: np.ndarray | None
     fraction_between: float | None
-
-    @property
-    def all_between(self) -> bool:
-        return self.between is not None and bool(np.all(self.between))
 
 
 def bracketing_check(gauss_sol, anti_sol, ref=None) -> GridBracketing:

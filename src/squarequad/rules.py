@@ -35,11 +35,6 @@ class QuadRule1D:
     def npoints(self) -> int:
         return self.nodes.size
 
-    def apply(self, g) -> float:
-        """Apply the rule to a callable accepting an ndarray of nodes."""
-        vals = np.asarray(g(self.nodes), dtype=float)
-        return float(np.dot(self.weights, np.broadcast_to(vals, self.nodes.shape)))
-
 
 def nodes_contained(w: JacobiWeight) -> bool:
     """Whether the companion rule of weight w keeps its nodes in [-1, 1].

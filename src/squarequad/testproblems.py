@@ -16,7 +16,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -455,12 +455,6 @@ def _disk_store(case_id: str, key: str, value) -> None:
     os.replace(tmp, path)
 
 
-def _memoized(key, build):
-    if key not in _memo:
-        _memo[key] = build()
-    return _memo[key]
-
-
 def _cached(case_id: str, key: str, build):
     """Memo, then disk cache, then ``build`` with its result stored on disk."""
     if (case_id, key) not in _memo:
@@ -472,18 +466,7 @@ def _cached(case_id: str, key: str, build):
     return _memo[case_id, key]
 
 
-# ------------------------------------------------------------ metric engine
-
-def _cub_values(case, n1, n2):
-    def build():
-        g = gauss_cubature(case.w1, case.w2, n1, n2).apply(case.integrand)
-        a = antigauss_cubature(
-            case.w1, case.w2, n1, n2, allow_uncontained=case.allow_uncontained
-        ).apply(case.integrand)
-        return g, a
-
-    return _memoized(("cub", case.id, n1, n2), build)
-
+# ---------------------------------------------------------------- table rows
 
 def _ref_integral(case) -> float:
     def build():
@@ -493,16 +476,14 @@ def _ref_integral(case) -> float:
     return float(_cached(case.id, "ref_integral", build))
 
 
-def _solution(case, n1, n2, rulekind, solver=None):
-    solver = solver or case.solver
-
-    def build():
-        return solve_nystrom(
+def _solution(case, n1, n2, rulekind, solver):
+    key = ("sol", case.id, n1, n2, rulekind, solver)
+    if key not in _memo:
+        _memo[key] = solve_nystrom(
             case.problem(), n1, n2, rulekind=rulekind, solver=solver,
             allow_uncontained=case.allow_uncontained,
         )
-
-    return _memoized(("sol", case.id, n1, n2, rulekind, solver), build)
+    return _memo[key]
 
 
 def _ref_grid(case) -> np.ndarray:
@@ -521,26 +502,14 @@ def _ref_grid(case) -> np.ndarray:
     return _cached(case.id, "ref_grid", build)
 
 
-def _xi(case, size, which, solver) -> float:
-    def vals(kind):
-        return _lattice_values(_solution(case, size[0], size[1], kind, solver))
-
-    if which == "avg":
-        approx = 0.5 * (vals("gauss") + vals("antigauss"))
-    else:
-        approx = vals("gauss" if which == "g" else "antigauss")
-    return relative_error(approx, _ref_grid(case))
-
-
-def _kappa(case, size, which, solver) -> float:
-    n1, n2 = size
-
-    def build():
-        kind = "gauss" if which == "g" else "antigauss"
-        sol = _solution(case, n1, n2, kind, solver)
-        return condition_number_inf(sol, cap=max(4096, sol.op.N))
-
-    return float(_cached(case.id, f"kappa_{which}_{n1}_{n2}", build))
+def _xi_values(gauss_sol, anti_sol, ref) -> dict:
+    """Relative lattice errors xi_g, xi_a, xi_avg of two solutions and their mean."""
+    vg, va = _lattice_values(gauss_sol), _lattice_values(anti_sol)
+    return {
+        "xi_g": relative_error(vg, ref),
+        "xi_a": relative_error(va, ref),
+        "xi_avg": relative_error(0.5 * (vg + va), ref),
+    }
 
 
 _METRIC_ORDER = (
@@ -549,24 +518,38 @@ _METRIC_ORDER = (
 )
 
 
-def _compute_metric(case, size, metric, solver) -> float:
+def _row_values(case, size, wanted, solver) -> dict:
+    """A table row's ``wanted`` metrics from one rule pair or one solution pair.
+
+    No anti-Gauss solve or condition number is computed unless a wanted
+    metric reads it; rows without a kappa column never densify their system.
+    """
+    n1, n2 = size
     if case.kind == "cubature":
-        g, a = _cub_values(case, *size)
+        g = gauss_cubature(case.w1, case.w2, n1, n2).apply(case.integrand)
+        a = antigauss_cubature(
+            case.w1, case.w2, n1, n2, allow_uncontained=case.allow_uncontained
+        ).apply(case.integrand)
         ref = _ref_integral(case)
-        return {
-            "r_g": ref - g,
-            "r_a": ref - a,
-            "r_avg": ref - 0.5 * (g + a),
-            "r_est": 0.5 * (a - g),
-        }[metric]
-    if metric.startswith("xi_"):
-        return _xi(case, size, metric[3:], solver)
-    if metric.startswith("kappa_"):
-        return _kappa(case, size, metric[6:], solver)
-    if metric == "iters":
-        iters = _solution(case, size[0], size[1], "gauss", solver).iterations
-        return float(-1 if iters is None else iters)
-    raise ValueError(f"unknown metric {metric!r}")
+        return {"r_g": ref - g, "r_a": ref - a, "r_avg": ref - 0.5 * (g + a), "r_est": 0.5 * (a - g)}
+
+    def sol(kind):
+        return _solution(case, n1, n2, kind, solver)
+
+    def kappa(kind):
+        s = sol(kind)
+        return condition_number_inf(s, cap=max(4096, s.op.N))
+
+    values = {}
+    if not wanted.isdisjoint(("xi_g", "xi_a", "xi_avg")):
+        values.update(_xi_values(sol("gauss"), sol("antigauss"), _ref_grid(case)))
+    for key, kind in (("kappa_g", "gauss"), ("kappa_a", "antigauss")):
+        if key in wanted:
+            values[key] = float(_cached(case.id, f"{key}_{n1}_{n2}", partial(kappa, kind)))
+    if "iters" in wanted:
+        iters = sol("gauss").iterations
+        values["iters"] = float(-1 if iters is None else iters)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,16 +592,19 @@ def run_case(case_id: str, sizes=None, metrics=None, solver=None) -> CaseReport:
     case's solver for the row solves.  Unknown ids raise ValueError.
     """
     case = get_case(case_id)
+    solver = solver or case.solver
     wanted = None if sizes is None else {tuple(s) for s in sizes}
     results = []
     for size, table in case.rows:
         if wanted is not None and size not in wanted:
             continue
-        for metric in _METRIC_ORDER:
-            if metric not in table or (metrics is not None and metric not in metrics):
-                continue
+        names = [m for m in _METRIC_ORDER if m in table and (metrics is None or m in metrics)]
+        if not names:
+            continue
+        values = _row_values(case, size, set(names), solver)
+        for metric in names:
             expected = table[metric]
-            computed = float(_compute_metric(case, size, metric, solver))
+            computed = float(values[metric])
             results.append(RowResult(size, metric, computed, expected, check_value(computed, expected)))
     if not results:
         raise ValueError(f"no stored rows selected for case {case_id!r}")

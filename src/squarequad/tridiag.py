@@ -50,23 +50,33 @@ def eig_tridiag(diag, offdiag) -> EigFirstComponents:
     Raises
     ------
     ValueError
-        If the matrix is empty, the lengths do not match, or an entry is
-        not finite.
+        If the matrix is empty, the lengths do not match, an entry is not
+        finite, or the Gershgorin bound B = max_i (|d_i| + |e_{i-1}| + |e_i|)
+        is not below 2**-8 of the largest double.  Every matrix the sweep
+        forms is orthogonally similar to the input, and each quantity it
+        computes adds a few of their entries and the shift, times rotation
+        factors of magnitude at most 1, so all stay below 16 B and finite.
     ConvergenceError
         If some eigenvalue needs more than 30 QL sweeps; ``index``
         identifies the stuck position.
     """
-    d = np.asarray(diag, dtype=float)
+    d = np.asarray(diag, dtype=float).ravel()
     n = d.size
     if n == 0:
         raise ValueError("matrix must be at least 1 x 1")
-    off = np.asarray(offdiag, dtype=float)
+    off = np.asarray(offdiag, dtype=float).ravel()
     if off.size != n - 1:
         raise ValueError(f"offdiag must have length {n - 1}, got {off.size}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(off))):
         raise ValueError("diag and offdiag must be finite")
-    d = d.ravel().tolist()
-    e = off.ravel().tolist() + [0.0]
+    # quartered terms keep the row sums from overflowing
+    rows = 0.25 * np.abs(d)
+    rows[:-1] += 0.25 * np.abs(off)
+    rows[1:] += 0.25 * np.abs(off)
+    if not rows.max() < 2.0**-10 * np.finfo(float).max:
+        raise ValueError("Gershgorin bound of the matrix is not below 2**-8 of the largest double")
+    d = d.tolist()
+    e = off.tolist() + [0.0]
     z = [0.0] * n
     z[0] = 1.0
 

@@ -130,6 +130,16 @@ def _solve_report(capsys, *argv):
     return dict(ln.split("=", 1) for ln in out.strip().splitlines())
 
 
+def test_solve_xi_matches_table_row(capsys):
+    from squarequad import testproblems as tp
+
+    report = _solve_report(capsys, "--case", "eq3", "--n1", "16", "--n2", "16")
+    row = tp.run_case("eq3", sizes=[(16, 16)])
+    assert {r.metric: "%.16e" % r.computed for r in row.rows} == {
+        k: report[k] for k in ("xi_g", "xi_a", "xi_avg")
+    }
+
+
 def test_solve_reports_auto_choice(capsys):
     report = _solve_report(capsys, "--case", "eq4", "--n1", "4", "--n2", "4")
     assert report["solver"] == "gmres-sk"
@@ -228,3 +238,11 @@ def test_reproduce_json_format(capsys):
     assert doc["case"] == "eq1"
     assert len(doc["rows"]) == 4
     assert all(row["ok"] for row in doc["rows"])
+
+
+@pytest.mark.parametrize("ident", ["fig1", "fig1-left", "fig1-right"])
+def test_reproduce_fig1_has_no_json_format(capsys, ident):
+    code, out, err = _run(capsys, "reproduce", ident, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "CSV only" in err

@@ -156,3 +156,18 @@ def test_non_integral_sizes_rejected(make):
     r = make(LEG, LEG, 2.0, np.int64(3))
     assert (r.n1, r.n2) == (2, 3) and type(r.n1) is int and type(r.n2) is int
     assert r.npoints == make(LEG, LEG, 2, 3).npoints
+
+
+@pytest.mark.parametrize("diagnostic", [
+    lambda f, cutoffs: bracketing_diagnostic(f, CH1, CH1, 2, 2, cutoffs=cutoffs),
+    lambda f, cutoffs: chebyshev_bracketing_terms(f, 2, 2, cutoffs=cutoffs),
+])
+def test_non_integral_cutoffs_rejected(diagnostic):
+    f = lambda a, b: np.cos(a + b)
+    with pytest.raises(ValueError, match="cutoff1 must be an integer"):
+        diagnostic(f, (10.7, 10))
+    with pytest.raises(ValueError, match="cutoff2 must be an integer"):
+        diagnostic(f, (10, 10.2))
+    rep = diagnostic(f, (10.0, np.int64(10)))
+    assert (rep.cutoff1, rep.cutoff2) == (10, 10)
+    assert rep == diagnostic(f, (10, 10))

@@ -334,6 +334,56 @@ def test_separable_eval_matches_single_callable(rng):
     assert np.max(np.abs(fs - fn)) <= 1e-13 * np.max(np.abs(fn))
 
 
+@pytest.mark.parametrize("form", ["kernel", "kernel_pair"])
+def test_interpolant_rejects_nonfinite_kernel_off_the_nodes(form):
+    # finite at every node pair, so the system assembles and solves; the
+    # interpolant must not turn the infinite value into a silent nan
+    if form == "kernel":
+        base = get_case("eq2").problem()
+        prob = FredholmProblem(
+            base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+            kernel=lambda x1, x2, y1, y2: np.where(y1 == 0.01, np.inf, base.kernel(x1, x2, y1, y2)),
+        )
+    else:
+        base = get_case("eq3").problem()
+        k1, k2 = base.kernel_pair
+        prob = FredholmProblem(
+            base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+            kernel_pair=(lambda x, y: np.where(y == 0.01, np.inf, k1(x, y)), k2),
+        )
+    sol = solve_nystrom(prob, 6, 6, solver="lu")
+    fu, _ = interpolant_eval(sol, 0.3, 0.3)
+    assert np.isfinite(fu)
+    with pytest.raises(AssemblyError, match="point") as exc:
+        interpolant_eval(sol, 0.01, 0.3)
+    node = exc.value.node
+    if form == "kernel":
+        assert node[0] in sol.rule.nodes1 and node[1] in sol.rule.nodes2
+    else:
+        assert node[0] == 1 and node[1] in sol.rule.rule1.nodes
+
+
+def test_separable_assembly_names_the_nonfinite_factor_entry():
+    base = get_case("eq3").problem()
+    k1, k2 = base.kernel_pair
+    rule = sq.gauss_cubature(base.w1, base.w2, 4, 5)
+    y = rule.rule2.nodes[2]
+    prob = FredholmProblem(
+        base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+        kernel_pair=(k1, lambda x, t: np.where(t == y, np.inf, k2(x, t))),
+    )
+    with pytest.raises(AssemblyError, match=f"point {y:.17g}") as exc:
+        sq.assemble_system(prob, rule, realization="separable")
+    assert exc.value.node[0] == 2
+
+
+def test_assembly_needs_a_known_realization():
+    prob = get_case("eq3").problem()
+    rule = sq.gauss_cubature(prob.w1, prob.w2, 3, 3)
+    with pytest.raises(ValueError, match="unknown realization"):
+        sq.assemble_system(prob, rule, realization="auto")
+
+
 def test_averaged_lattice_values_match_eval():
     prob = get_case("eq3").problem()
     avg = averaged_interpolant(

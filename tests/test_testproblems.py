@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from squarequad import testproblems as tp
+from squarequad.cubature import CubatureRule2D
 from squarequad.testproblems import Expected, check_value, get_case, run_case
 
 
@@ -127,3 +128,48 @@ def test_table_row_evaluates_each_solution_once(interpolant_evals):
     interpolant_evals.clear()
     run_case("eq3", sizes=[(16, 16)])
     assert sorted(interpolant_evals) == ["antigauss", "gauss"]
+
+
+def _count_solves(monkeypatch):
+    kinds = []
+    solve = tp.solve_nystrom
+
+    def spy(problem, n1, n2, rulekind="gauss", **kwargs):
+        kinds.append(rulekind)
+        return solve(problem, n1, n2, rulekind=rulekind, **kwargs)
+
+    monkeypatch.setattr(tp, "solve_nystrom", spy)
+    return kinds
+
+
+def test_table_row_solves_each_rule_once(monkeypatch):
+    # xi, kappa and iters of one row share one gauss and one antigauss solve
+    tp.clear_memo()
+    tp._ref_grid(get_case("eq2"))
+    kinds = _count_solves(monkeypatch)
+    run_case("eq2", sizes=[(16, 16)])
+    assert sorted(kinds) == ["antigauss", "gauss"]
+
+
+def test_iteration_row_skips_the_antigauss_solve(monkeypatch):
+    tp.clear_memo()
+    tp._ref_grid(get_case("eq2"))
+    kinds = _count_solves(monkeypatch)
+    run_case("eq2", sizes=[(16, 16)], metrics=["iters"])
+    assert kinds == ["gauss"]
+
+
+def test_cubature_row_applies_each_rule_once(monkeypatch):
+    case = get_case("cub1")
+    tp._ref_integral(case)
+    kinds = []
+    apply = CubatureRule2D.apply
+
+    def spy(rule, f):
+        kinds.append(rule.kind)
+        return apply(rule, f)
+
+    monkeypatch.setattr(CubatureRule2D, "apply", spy)
+    report = run_case("cub1", sizes=[(8, 8)])
+    assert [r.metric for r in report.rows] == ["r_g", "r_a", "r_avg", "r_est"]
+    assert sorted(kinds) == ["antigauss", "gauss"]

@@ -123,3 +123,35 @@ def test_bit_identical_to_numpy_scalar_sweep_on_random_matrices(data, n):
 def test_nonfinite_input_rejected(d, e):
     with pytest.raises(ValueError, match="finite"):
         eig_tridiag(d, e)
+
+
+def test_entries_near_overflow_rejected():
+    # the deflation sum |d_0| + |d_1| overflows here, which used to deflate
+    # the coupled pair and return +-1e308 instead of +-1.414e308
+    with pytest.raises(ValueError, match="Gershgorin"):
+        eig_tridiag([1e308, -1e308, 0.5], [1e308, 1.0])
+
+
+def test_large_entries_below_the_bound_solved():
+    d, e = [1e300, -1e300, 0.5], [1e300, 1.0]
+    out = eig_tridiag(d, e)
+    want = np.linalg.eigvalsh(_dense(np.array(d), np.array(e)))
+    assert out.values == pytest.approx(want, rel=1e-14)
+    assert np.sum(out.firstcomp**2) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_power_of_two_scaling_exact_up_to_the_bound(rng):
+    # every step of the sweep is homogeneous, so a power-of-two scaling that
+    # overflows nowhere scales the values exactly and keeps the first row
+    limit = 2.0**-8 * np.finfo(float).max
+    for n in (2, 5, 17, 40):
+        d, e = rng.uniform(-5.0, 5.0, n), rng.uniform(-5.0, 5.0, n - 1)
+        bound = np.max(np.abs(d) + np.append(0.0, np.abs(e)) + np.append(np.abs(e), 0.0))
+        scale = 2.0 ** np.floor(np.log2(limit / bound))
+        while scale * bound >= limit:
+            scale /= 2.0
+        small, big = eig_tridiag(d, e), eig_tridiag(scale * d, scale * e)
+        assert np.array_equal(big.values, scale * small.values)
+        assert np.array_equal(big.firstcomp, small.firstcomp)
+        with pytest.raises(ValueError, match="Gershgorin"):
+            eig_tridiag(4.0 * scale * d, 4.0 * scale * e)
