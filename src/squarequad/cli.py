@@ -32,7 +32,6 @@ from .cubature import antigauss_cubature, averaged_cubature, gauss_cubature
 from .errors import AssemblyError, CapacityError, ConvergenceError, EvaluationError
 from .fredholm import (
     _LATTICE,
-    FredholmProblem,
     SpaceWeight,
     _lattice_values,
     bracketing_check,
@@ -146,8 +145,8 @@ def cmd_integrate(args) -> int:
 # solve
 
 
-def _problem_from_json(path: str) -> tuple:
-    """Build a FredholmProblem from the JSON schema; returns (problem, sizes)."""
+def _case_from_json(path: str, allow_uncontained: bool) -> tuple:
+    """Read a JSON problem file as an equation case; returns (case, sizes)."""
     with open(path) as fh:
         doc = json.load(fh)
     known = {
@@ -168,24 +167,17 @@ def _problem_from_json(path: str) -> tuple:
     )
     if "rhs" not in doc:
         raise ValueError("problem file missing 'rhs'")
-    rhs = tp.RHS[doc["rhs"]]
-    kernel = None
-    pair = ()
     if ("kernel" in doc) == ("kernel_pair" in doc):
         raise ValueError("problem file needs exactly one of 'kernel', 'kernel_pair'")
-    if "kernel" in doc:
-        kernel = tp.KERNELS_2D[doc["kernel"]]
-    else:
-        ids = doc["kernel_pair"]
-        if len(ids) != 2:
-            raise ValueError("'kernel_pair' must list two kernel ids")
-        pair = (tp.KERNELS_1D[ids[0]], tp.KERNELS_1D[ids[1]])
-    prob = FredholmProblem(
-        w1, w2, u, rhs, kernel=kernel, kernel_pair=pair,
-        mult=float(doc.get("mult", 1.0)),
+    pair = tuple(doc.get("kernel_pair", ()))
+    if "kernel_pair" in doc and len(pair) != 2:
+        raise ValueError("'kernel_pair' must list two kernel ids")
+    case = tp.TestCase(
+        id=path, kind="equation", w1=w1, w2=w2, rows=(), u=u,
+        kernel_id=doc.get("kernel", ""), kernel_pair_ids=pair, rhs_id=doc["rhs"],
+        mult=float(doc.get("mult", 1.0)), allow_uncontained=allow_uncontained,
     )
-    sizes = (doc.get("n1"), doc.get("n2"))
-    return prob, sizes
+    return case, (doc.get("n1"), doc.get("n2"))
 
 
 def _kappa_or_skipped(sol):
@@ -196,25 +188,18 @@ def _kappa_or_skipped(sol):
 
 
 def cmd_solve(args) -> int:
-    case = None
     if args.case is not None:
-        case = tp.get_case(args.case)
-        if case.kind != "equation":
-            raise ValueError(f"case {args.case!r} is not an equation case")
-        prob = case.problem()
-        allow = case.allow_uncontained
-        solver = args.solver or case.solver
+        case, file_sizes = tp.get_case(args.case), (None, None)
     else:
-        prob, file_sizes = _problem_from_json(args.problem)
-        allow = args.allow_uncontained
-        solver = args.solver or "auto"
-        if args.n1 is None:
-            args.n1 = file_sizes[0]
-        if args.n2 is None:
-            args.n2 = file_sizes[1]
-    if args.n1 is None or args.n2 is None:
+        case, file_sizes = _case_from_json(args.problem, args.allow_uncontained)
+    prob = case.problem()
+    n1 = file_sizes[0] if args.n1 is None else args.n1
+    n2 = file_sizes[1] if args.n2 is None else args.n2
+    if n1 is None or n2 is None:
         raise ValueError("sizes required: pass --n1/--n2 or put n1/n2 in the file")
-    n1, n2 = _size(args.n1, "n1"), _size(args.n2, "n2")
+    n1, n2 = _size(n1, "n1"), _size(n2, "n2")
+    solver = args.solver or case.solver
+    allow = case.allow_uncontained
 
     sg = solve_nystrom(prob, n1, n2, rulekind="gauss", solver=solver,
                        tol=args.tol, allow_uncontained=allow)
@@ -227,7 +212,7 @@ def cmd_solve(args) -> int:
     if sg.iterations is not None:
         report["iters"] = sg.iterations
 
-    if case is not None and (case.exact is not None or case.reference):
+    if case.exact is not None or case.reference:
         report.update(tp._xi_values(sg, sa, tp._ref_grid(case)))
     else:
         # no reference: the half-gap bounds the averaged error when the
@@ -238,7 +223,7 @@ def cmd_solve(args) -> int:
         )
     report["kappa_g"] = _kappa_or_skipped(sg)
     report["kappa_a"] = _kappa_or_skipped(sa)
-    br = bracketing_check(sg, sa, ref=case.exact if case is not None else None)
+    br = bracketing_check(sg, sa, ref=case.exact)
     report["fraction_between"] = "n/a" if br.fraction_between is None else br.fraction_between
     report["sign_changes"] = int(np.count_nonzero(np.diff(np.sign(br.sign))))
 
@@ -389,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, default=None)
     p.add_argument("--solver", choices=("lu", "gmres", "gmres-fm", "gmres-sk", "stein"),
                    default=None)
-    p.add_argument("--tol", type=float, default=1e-14)
+    p.add_argument("--tol", type=float, default=1e-14,
+                   help="relative residual target of GMRES and Stein; must be > 0")
     p.add_argument("--allow-uncontained", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_solve)

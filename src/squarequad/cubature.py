@@ -69,7 +69,23 @@ class CubatureRule2D:
         return float(np.dot(self.weights, vals))
 
 
-def _tensorize(kind, w1, w2, n1, n2, r1, r2) -> CubatureRule2D:
+def _tensorize(kind, w1, w2, n1, n2, allow_uncontained) -> CubatureRule2D:
+    n1, n2 = _size(n1, "n1"), _size(n2, "n2")
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"rule sizes must be positive, got ({n1}, {n2})")
+    make = gauss_rule if kind == "gauss" else antigauss_rule
+    r1, r2 = make(w1, n1), make(w2, n2)
+    if not (r1.contained and r2.contained) and not allow_uncontained:
+        which = [
+            f"axis {axis} ({w.alpha}, {w.beta})"
+            for axis, w, r in ((1, w1, r1), (2, w2, r2))
+            if not r.contained
+        ]
+        raise ValueError(
+            "companion nodes may fall outside [-1, 1] for "
+            + " and ".join(which)
+            + "; pass allow_uncontained=True if the integrand extends beyond the square"
+        )
     x1 = np.tile(r1.nodes, r2.npoints)
     x2 = np.repeat(r2.nodes, r1.npoints)
     lam = np.outer(r2.weights, r1.weights).ravel()
@@ -78,17 +94,9 @@ def _tensorize(kind, w1, w2, n1, n2, r1, r2) -> CubatureRule2D:
     return CubatureRule2D(kind, w1, w2, n1, n2, x1, x2, lam, rule1=r1, rule2=r2)
 
 
-def _check_sizes(n1, n2) -> tuple[int, int]:
-    n1, n2 = _size(n1, "n1"), _size(n2, "n2")
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"rule sizes must be positive, got ({n1}, {n2})")
-    return n1, n2
-
-
 def gauss_cubature(w1: JacobiWeight, w2: JacobiWeight, n1: int, n2: int) -> CubatureRule2D:
     """Tensor Gauss rule with n1 x n2 points."""
-    n1, n2 = _check_sizes(n1, n2)
-    return _tensorize("gauss", w1, w2, n1, n2, gauss_rule(w1, n1), gauss_rule(w2, n2))
+    return _tensorize("gauss", w1, w2, n1, n2, allow_uncontained=False)
 
 
 def antigauss_cubature(
@@ -104,21 +112,7 @@ def antigauss_cubature(
     ``allow_uncontained`` is set; integrands defined beyond the boundary
     make the override safe.
     """
-    n1, n2 = _check_sizes(n1, n2)
-    r1 = antigauss_rule(w1, n1)
-    r2 = antigauss_rule(w2, n2)
-    if not (r1.contained and r2.contained) and not allow_uncontained:
-        which = []
-        if not r1.contained:
-            which.append(f"axis 1 ({w1.alpha}, {w1.beta})")
-        if not r2.contained:
-            which.append(f"axis 2 ({w2.alpha}, {w2.beta})")
-        raise ValueError(
-            "companion nodes may fall outside [-1, 1] for "
-            + " and ".join(which)
-            + "; pass allow_uncontained=True if the integrand extends beyond the square"
-        )
-    return _tensorize("antigauss", w1, w2, n1, n2, r1, r2)
+    return _tensorize("antigauss", w1, w2, n1, n2, allow_uncontained)
 
 
 def averaged_cubature(

@@ -10,6 +10,7 @@ integral, and their average then halves the attainable error bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,7 +285,11 @@ def solve_nystrom(
     only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` whenever it
     fails, whether its contraction precheck rejects the factors or the
     iteration stalls; ``NystromSolution.solver`` names the solver that ran.
+    ``tol`` is the relative residual target of GMRES and Stein alike and
+    must be a finite number > 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if rulekind == "gauss":
         rule = gauss_cubature(problem.w1, problem.w2, n1, n2)
     elif rulekind == "antigauss":
@@ -322,7 +327,7 @@ def solve_nystrom(
         coeffs = lu_solve(op, h)
     elif solver == "stein":
         try:
-            coeffs = unfold(stein_solve(op.phi1, op.phi2, fold(h, op.n1, op.n2)))
+            coeffs = unfold(stein_solve(op.phi1, op.phi2, fold(h, op.n1, op.n2), tol=tol))
         except ConvergenceError:
             used = "gmres-sk"
             coeffs, stats = gmres(op, h, tol=tol)
@@ -355,13 +360,12 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     acc = np.empty(y1f.size)
     if prob.separable:
         # axis-factored sum keeps memory linear in the rule size
-        k1, k2 = prob.kernel_pair
         z1, z2 = rule.rule1.nodes, rule.rule2.nodes
         D = fold(da, z1.size, z2.size)
         # a block holds rows of A1 and A2 plus kernel temporaries of equal width
         for lo, hi in row_blocks(y1f.size, 2 * (z1.size + z2.size)):
-            A1 = np.asarray(k1(z1[None, :], y1f[lo:hi, None]), dtype=float)
-            A2 = np.asarray(k2(z2[None, :], y2f[lo:hi, None]), dtype=float)
+            A1 = _axis_block(prob, 1, z1, y1f[lo:hi])
+            A2 = _axis_block(prob, 2, z2, y2f[lo:hi])
             acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
     else:
         for lo, hi in row_blocks(y1f.size, rule.npoints):
@@ -369,17 +373,12 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
                 rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]
             )
             acc[lo:hi] = kb @ da
-    bad = ~np.isfinite(acc)
-    if np.any(bad):
-        # a non-finite kernel value spoils the sum at its point, so only the
-        # first such point is evaluated again through the checked blocks
-        i = int(np.argmax(bad))
-        p1, p2 = y1f[i : i + 1], y2f[i : i + 1]
-        if prob.separable:
-            _axis_block(prob, 1, rule.rule1.nodes, p1)
-            _axis_block(prob, 2, rule.rule2.nodes, p2)
-        else:
-            _kernel_block(prob, rule.nodes1, rule.nodes2, p1, p2)
+        bad = ~np.isfinite(acc)
+        if np.any(bad):
+            # a non-finite kernel value spoils the sum at its point, so only the
+            # first such point is evaluated again through the checked block
+            i = int(np.argmax(bad))
+            _kernel_block(prob, rule.nodes1, rule.nodes2, y1f[i : i + 1], y2f[i : i + 1])
     fu = (gy * uy + uy * acc).reshape(shape)
 
     if not unweighted:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +58,24 @@ def _size(n, name: str = "n") -> int:
     raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
-@lru_cache(maxsize=None)
-def _recurrence_cached(alpha: float, beta: float, n: int) -> RecurrenceCoeffs:
+def recurrence_coeffs(w: JacobiWeight, n: int) -> RecurrenceCoeffs:
+    """Recurrence coefficients a_0..a_n and b_0..b_n for the weight w.
+
+    Parameters
+    ----------
+    w : JacobiWeight
+    n : int
+        Highest index wanted; n >= 0.
+
+    Returns
+    -------
+    RecurrenceCoeffs
+        Read-only arrays of length n + 1.
+    """
+    n = _size(n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    alpha, beta = float(w.alpha), float(w.beta)
     s = alpha + beta
     j = np.arange(n + 1, dtype=float)
     a = np.zeros(n + 1)
@@ -92,26 +107,6 @@ def _recurrence_cached(alpha: float, beta: float, n: int) -> RecurrenceCoeffs:
     a.flags.writeable = False
     b.flags.writeable = False
     return RecurrenceCoeffs(JacobiWeight(alpha, beta), a, b)
-
-
-def recurrence_coeffs(w: JacobiWeight, n: int) -> RecurrenceCoeffs:
-    """Recurrence coefficients a_0..a_n and b_0..b_n for the weight w.
-
-    Parameters
-    ----------
-    w : JacobiWeight
-    n : int
-        Highest index wanted; n >= 0.
-
-    Returns
-    -------
-    RecurrenceCoeffs
-        Arrays of length n + 1.  Results are cached per (weight, n).
-    """
-    n = _size(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _recurrence_cached(float(w.alpha), float(w.beta), n)
 
 
 def eval_orthonormal(c: RecurrenceCoeffs, x, n: int) -> np.ndarray:

@@ -52,34 +52,26 @@ def nodes_contained(w: JacobiWeight) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _gauss_cached(alpha: float, beta: float, n: int) -> QuadRule1D:
+def _rule_cached(alpha: float, beta: float, n: int, kind: str) -> QuadRule1D:
+    # Golub-Welsch on the order-n Jacobi matrix (gauss) or on the order-(n+1)
+    # matrix whose last off-diagonal entry is bordered to sqrt(2 b_n) (antigauss)
     w = JacobiWeight(alpha, beta)
     c = recurrence_coeffs(w, n)
-    values, first = eig_tridiag(c.a[:n], np.sqrt(c.b[1:n]))
+    companion = kind == "antigauss"
+    m = n + 1 if companion else n
+    off = np.sqrt(c.b[1:m])
+    if companion:
+        off[-1] = np.sqrt(2.0 * c.b[n])
+    values, first = eig_tridiag(c.a[:m], off)
     lam = c.b[0] * first**2
-    values.flags.writeable = False
-    lam.flags.writeable = False
-    return QuadRule1D("gauss", w, values, lam)
-
-
-@lru_cache(maxsize=None)
-def _antigauss_cached(alpha: float, beta: float, n: int) -> QuadRule1D:
-    w = JacobiWeight(alpha, beta)
-    c = recurrence_coeffs(w, n)
-    diag = c.a[: n + 1]
-    off = np.empty(n)
-    off[: n - 1] = np.sqrt(c.b[1:n])
-    off[n - 1] = np.sqrt(2.0 * c.b[n])
-    values, first = eig_tridiag(diag, off)
-    mu = c.b[0] * first**2
-    contained = nodes_contained(w)
-    if contained:
+    contained = not companion or nodes_contained(w)
+    if companion and contained:
         # borderline weights put end nodes exactly on +-1; QL misses by up to 4 ulps
         near = np.abs(np.abs(values) - 1.0) <= 8.0 * np.finfo(float).eps
         values[near] = np.sign(values[near])
     values.flags.writeable = False
-    mu.flags.writeable = False
-    return QuadRule1D("antigauss", w, values, mu, contained=contained)
+    lam.flags.writeable = False
+    return QuadRule1D(kind, w, values, lam, contained=contained)
 
 
 def _rule_size(n) -> int:
@@ -91,7 +83,7 @@ def _rule_size(n) -> int:
 
 def gauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
     """The n-point Gauss rule for weight w.  Exact to degree 2n - 1."""
-    return _gauss_cached(float(w.alpha), float(w.beta), _rule_size(n))
+    return _rule_cached(float(w.alpha), float(w.beta), _rule_size(n), "gauss")
 
 
 def antigauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
@@ -102,4 +94,4 @@ def antigauss_rule(w: JacobiWeight, n: int) -> QuadRule1D:
     returned, flagged through the ``contained`` field, and the square
     constructors decide whether to accept it.
     """
-    return _antigauss_cached(float(w.alpha), float(w.beta), _rule_size(n))
+    return _rule_cached(float(w.alpha), float(w.beta), _rule_size(n), "antigauss")

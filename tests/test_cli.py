@@ -140,6 +140,29 @@ def test_solve_xi_matches_table_row(capsys):
     }
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_solve_rejects_bad_tolerance(capsys, monkeypatch, tol):
+    import squarequad.fredholm as fr
+    from squarequad import solve_nystrom
+    from squarequad.testproblems import get_case
+
+    code, out, err = _run(capsys, "solve", "--case", "eq3", "--n1", "8", "--n2", "8",
+                          "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be a finite number > 0" in err
+
+    # the library refuses the tolerance before it builds any rule
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(fr, "gauss_cubature", no_rule)
+    monkeypatch.setattr(fr, "antigauss_cubature", no_rule)
+    for kind in ("gauss", "antigauss"):
+        with pytest.raises(ValueError, match="tol must be"):
+            solve_nystrom(get_case("eq3").problem(), 8, 8, rulekind=kind, tol=float(tol))
+
+
 def test_solve_reports_auto_choice(capsys):
     report = _solve_report(capsys, "--case", "eq4", "--n1", "4", "--n2", "4")
     assert report["solver"] == "gmres-sk"

@@ -165,6 +165,21 @@ def test_stein_falls_back_to_gmres_sk():
     assert np.array_equal(sol.coeffs, direct.coeffs)
 
 
+def test_stein_receives_the_tolerance(monkeypatch):
+    import squarequad.fredholm as fr
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return fr.linsolve.stein_solve(*args, **kwargs)
+
+    monkeypatch.setattr(fr, "stein_solve", spy)
+    sol = solve_nystrom(get_case("eq3").problem(), 8, 8, solver="stein", tol=3e-9)
+    assert sol.solver == "stein"
+    assert seen == [3e-9]
+
+
 def test_solution_is_space_weight_independent():
     # diagonal similarity: the Nystrom function f_n does not depend on u
     case = get_case("eq3")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarequad import JacobiWeight, antigauss_rule, gauss_rule, nodes_contained
+from squarequad import JacobiWeight, antigauss_rule, gauss_rule, nodes_contained, recurrence_coeffs
 
-from oracles import integral_poly, jacobi_b0
+from oracles import integral_poly, jacobi_b0, ql_numpy_scalars
 
 wexp = st.floats(min_value=-0.45, max_value=2.0, allow_nan=False)
 
@@ -122,3 +122,28 @@ def test_non_integral_size_rejected(make):
     ref = make(w, 3)
     for ok in (3.0, np.int64(3), np.float32(3.0)):
         assert make(w, ok) is ref
+
+
+def _ql_rule(w, n, companion):
+    # Golub-Welsch on the order-n Jacobi matrix, or on the order-(n+1) one whose
+    # last off-diagonal entry is bordered to sqrt(2 b_n) (Laurie 1996)
+    c = recurrence_coeffs(w, n)
+    m = n + 1 if companion else n
+    off = np.sqrt(c.b[1:m])
+    if companion:
+        off[-1] = np.sqrt(2.0 * c.b[n])
+    x, first = ql_numpy_scalars(c.a[:m], off)
+    if companion and nodes_contained(w):
+        near = np.abs(np.abs(x) - 1.0) <= 8.0 * np.finfo(float).eps
+        x[near] = np.sign(x[near])
+    return x, c.b[0] * first**2
+
+
+@pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.5, 0.5), (0.0, 0.0), (-0.5, 0.0), (1.0, 1.25)])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def test_rules_match_ql_oracle_bit_for_bit(ab, n):
+    w = JacobiWeight(*ab)
+    for rule, companion in ((gauss_rule(w, n), False), (antigauss_rule(w, n), True)):
+        x, lam = _ql_rule(w, n, companion)
+        assert np.array_equal(rule.nodes, x), (rule.kind, ab, n)
+        assert np.array_equal(rule.weights, lam), (rule.kind, ab, n)
