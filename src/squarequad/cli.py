@@ -119,14 +119,12 @@ def cmd_integrate(args) -> int:
         case = tp.get_case(args.case)
         if case.kind != "cubature":
             raise ValueError(f"case {args.case!r} is not a cubature case")
-        f, w1, w2 = case.integrand, case.w1, case.w2
+        f, w1, w2, allow = case.integrand, case.w1, case.w2, case.allow_uncontained
     else:
-        f = tp.INTEGRANDS[args.integrand]
+        f, allow = tp.INTEGRANDS[args.integrand], args.allow_uncontained
         w1, w2 = _weights_from_args(args)
     g = gauss_cubature(w1, w2, args.n1, args.n2).apply(f)
-    a = antigauss_cubature(
-        w1, w2, args.n1, args.n2, allow_uncontained=args.allow_uncontained
-    ).apply(f)
+    a = antigauss_cubature(w1, w2, args.n1, args.n2, allow_uncontained=allow).apply(f)
     vals = {"value_g": g, "value_a": a, "value_avg": 0.5 * (g + a), "r_est": 0.5 * (a - g)}
     if args.format == "json":
         doc = {k: _fmt(v) for k, v in vals.items()}
@@ -149,6 +147,8 @@ def _case_from_json(path: str, allow_uncontained: bool) -> tuple:
     """Read a JSON problem file as an equation case; returns (case, sizes)."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("problem file must hold a JSON object")
     known = {
         "alpha1", "beta1", "alpha2", "beta2",
         "gamma1", "delta1", "gamma2", "delta2",
@@ -157,25 +157,35 @@ def _case_from_json(path: str, allow_uncontained: bool) -> tuple:
     bad = sorted(set(doc) - known)
     if bad:
         raise ValueError(f"unknown problem keys {bad}")
-    w1 = JacobiWeight(float(doc.get("alpha1", 0.0)), float(doc.get("beta1", 0.0)))
-    w2 = JacobiWeight(float(doc.get("alpha2", 0.0)), float(doc.get("beta2", 0.0)))
-    u = SpaceWeight(
-        float(doc.get("gamma1", 0.0)),
-        float(doc.get("delta1", 0.0)),
-        float(doc.get("gamma2", 0.0)),
-        float(doc.get("delta2", 0.0)),
-    )
+
+    def num(key, default=0.0):
+        v = doc.get(key, default)
+        # type() refuses bools; the bound refuses nan, inf and ints beyond a double
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{key!r} must be a finite number, got {v!r}")
+        return float(v)
+
+    def ident(key, v, known_ids):
+        if not isinstance(v, str) or v not in known_ids:
+            raise ValueError(f"{key!r} must name one of {', '.join(known_ids)}; got {v!r}")
+        return v
+
+    w1 = JacobiWeight(num("alpha1"), num("beta1"))
+    w2 = JacobiWeight(num("alpha2"), num("beta2"))
+    u = SpaceWeight(num("gamma1"), num("delta1"), num("gamma2"), num("delta2"))
     if "rhs" not in doc:
         raise ValueError("problem file missing 'rhs'")
     if ("kernel" in doc) == ("kernel_pair" in doc):
         raise ValueError("problem file needs exactly one of 'kernel', 'kernel_pair'")
-    pair = tuple(doc.get("kernel_pair", ()))
-    if "kernel_pair" in doc and len(pair) != 2:
+    pair = doc.get("kernel_pair", [])
+    if "kernel_pair" in doc and not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError("'kernel_pair' must list two kernel ids")
     case = tp.TestCase(
         id=path, kind="equation", w1=w1, w2=w2, rows=(), u=u,
-        kernel_id=doc.get("kernel", ""), kernel_pair_ids=pair, rhs_id=doc["rhs"],
-        mult=float(doc.get("mult", 1.0)), allow_uncontained=allow_uncontained,
+        kernel_id=ident("kernel", doc["kernel"], tp.KERNELS_2D) if "kernel" in doc else "",
+        kernel_pair_ids=tuple(ident("kernel_pair", k, tp.KERNELS_1D) for k in pair),
+        rhs_id=ident("rhs", doc["rhs"], tp.RHS), mult=num("mult", 1.0),
+        allow_uncontained=allow_uncontained,
     )
     return case, (doc.get("n1"), doc.get("n2"))
 
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--allow-uncontained", action="store_true")
+    p.add_argument("--allow-uncontained", action="store_true", help="--integrand only")
     _add_common(p)
     p.set_defaults(func=cmd_integrate)
 

@@ -32,7 +32,7 @@ __all__ = [
 # small blocks run faster than large ones
 _BLOCK_ENTRIES = 2**20
 
-# cross approximation: relative tolerance of its stopping tests, and the
+# cross approximation: relative rounding level of its stopping test, and the
 # Gaussian probe that verifies the factors against every row of K
 _ACA_TOL = 1e-15
 _PROBE_COLUMNS = 4
@@ -152,10 +152,9 @@ def aca(entries, N: int, rmax: int):
     one row and one column of the residual R = K - U V^T per step and adds
     their cross; the next row pivot is the largest |u| among rows not yet
     used.  It stops when a residual row is at the rounding level of its
-    own subtraction or a cross has ||u|| ||v|| <= _ACA_TOL ||U V^T||_F.
-    Those tests see O(r N) entries only, so one blocked sweep over every
-    row of K then forms K Z for a fixed-seed Gaussian probe Z (Halko,
-    Martinsson & Tropp 2011, sec. 4.3) and E = R Z.  While
+    own subtraction.  That test sees O(r N) entries only, so one blocked
+    sweep over every row of K then forms K Z for a fixed-seed Gaussian
+    probe Z (Halko, Martinsson & Tropp 2011, sec. 4.3) and E = R Z.  While
     max |E| > _PROBE_RTOL max |K Z|, a further cross is taken at the row
     where |E| is largest and E is updated without evaluating K again, so
     residual rows that the pivots never visited are still found.  Returns
@@ -179,24 +178,15 @@ def aca(entries, N: int, rmax: int):
         return u, row / row[j]
 
     unused = np.ones(N, dtype=bool)
-    frob2 = 0.0
     i = 0
     while k < rmax:
         unused[i] = False
         uv = cross(i)
         if uv is None:
             break
-        u, v = uv
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        # ||S_k||_F^2 = ||S_{k-1}||_F^2 + 2 sum_l (u_l.u)(v_l.v) + ||u||^2 ||v||^2
-        frob2 += 2.0 * float((U[:, :k].T @ u) @ (V[:, :k].T @ v)) + (nu * nv) ** 2
-        if nu * nv <= _ACA_TOL * np.sqrt(frob2):
-            break
-        U[:, k] = u
-        V[:, k] = v
+        U[:, k], V[:, k] = uv
+        i = int(np.argmax(np.where(unused, np.abs(U[:, k]), -1.0)))
         k += 1
-        i = int(np.argmax(np.where(unused, np.abs(u), -1.0)))
     else:
         return None
 

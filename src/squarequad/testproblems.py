@@ -2,9 +2,9 @@
 
 Two cubature cases and four integral-equation cases, each carrying the
 reference values the implementation is expected to reproduce and the
-tolerance each value is held to.  Expensive reference artifacts (the
-high-order reference solutions and the larger condition numbers) are
-memoized in process and cached on disk under SQUAREQUAD_CACHE, default
+tolerance each value is held to.  Expensive reference artifacts (reference
+integrals and lattice values, the rows' condition numbers; never a solution)
+are memoized in process and cached on disk under SQUAREQUAD_CACHE, default
 ``~/.cache/squarequad``, in files named by a digest of the package sources
 and the numpy version.  Files from other code are never read and may be
 deleted at any time; a cold cache regenerates deterministically.
@@ -476,16 +476,6 @@ def _ref_integral(case) -> float:
     return float(_cached(case.id, "ref_integral", build))
 
 
-def _solution(case, n1, n2, rulekind, solver):
-    key = ("sol", case.id, n1, n2, rulekind, solver)
-    if key not in _memo:
-        _memo[key] = solve_nystrom(
-            case.problem(), n1, n2, rulekind=rulekind, solver=solver,
-            allow_uncontained=case.allow_uncontained,
-        )
-    return _memo[key]
-
-
 def _ref_grid(case) -> np.ndarray:
     """Weighted reference values on the comparison lattice."""
     if case.exact is not None:
@@ -521,7 +511,8 @@ _METRIC_ORDER = (
 def _row_values(case, size, wanted, solver) -> dict:
     """A table row's ``wanted`` metrics from one rule pair or one solution pair.
 
-    No anti-Gauss solve or condition number is computed unless a wanted
+    Each solution is built at most once and lives only for this row.  No
+    anti-Gauss solve or condition number is computed unless a wanted
     metric reads it; rows without a kappa column never densify their system.
     """
     n1, n2 = size
@@ -533,8 +524,12 @@ def _row_values(case, size, wanted, solver) -> dict:
         ref = _ref_integral(case)
         return {"r_g": ref - g, "r_a": ref - a, "r_avg": ref - 0.5 * (g + a), "r_est": 0.5 * (a - g)}
 
+    @cache
     def sol(kind):
-        return _solution(case, n1, n2, kind, solver)
+        return solve_nystrom(
+            case.problem(), n1, n2, rulekind=kind, solver=solver,
+            allow_uncontained=case.allow_uncontained,
+        )
 
     def kappa(kind):
         s = sol(kind)

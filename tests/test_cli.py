@@ -77,6 +77,34 @@ def test_integrate_constant(capsys):
     assert abs(float(row[3])) < 1e-14
 
 
+def test_integrate_case_uses_its_containment_override(capsys):
+    from squarequad import antigauss_cubature
+    from squarequad.testproblems import get_case
+
+    case = get_case("cub2")
+    code, out, _ = _run(capsys, "integrate", "--case", "cub2", "--n1", "8", "--n2", "8")
+    assert code == 0
+    want = antigauss_cubature(case.w1, case.w2, 8, 8, allow_uncontained=True).apply(case.integrand)
+    assert out.splitlines()[1].split(",")[1] == "%.16e" % want
+    # for a built-in integrand the flag still decides
+    argv = ("integrate", "--integrand", "one", "--alpha2", "-0.5", "--n1", "8", "--n2", "8")
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert "allow_uncontained" in err
+    assert _run(capsys, *argv, "--allow-uncontained")[0] == 0
+
+
+def test_integrate_json_format(capsys):
+    argv = ("integrate", "--integrand", "one", "--n1", "4", "--n2", "3")
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc.pop("n1"), doc.pop("n2")) == (4, 3)
+    header, row = _run(capsys, *argv)[1].splitlines()
+    assert doc == dict(zip(header.split(","), row.split(",")))
+    assert float(doc["value_g"]) == pytest.approx(4.0, rel=1e-13)
+
+
 def test_integrate_case_validation(capsys):
     code, _, err = _run(capsys, "integrate", "--case", "eq1", "--n1", "4", "--n2", "4")
     assert code == 2
@@ -201,6 +229,45 @@ def test_solve_problem_file(capsys, tmp_path):
     assert int(report["n1"]) == 8
 
 
+def test_solve_problem_file_auto_solver_for_a_kernel(capsys, tmp_path):
+    # auto picks lu up to 1024 unknowns (Gauss 32 x 32) and gmres-fm above
+    # (anti-Gauss 33 x 33)
+    prob = {"kernel": "sin-affine", "rhs": "log-sin-root", "mult": 0.3, "n1": 32, "n2": 32}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    report = _solve_report(capsys, "--problem", str(path))
+    assert report["solver"] == "lu/gmres-fm"
+    assert "iters" not in report
+
+
+_PROBLEM = {"kernel_pair": ["exp-sum", "product"], "rhs": "exp-sin", "n1": 2, "n2": 2}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (["rhs"], "JSON object"),
+        ({**_PROBLEM, "alpha1": [1]}, "'alpha1'"),
+        ({**_PROBLEM, "beta2": float("nan")}, "'beta2'"),
+        ({**_PROBLEM, "gamma1": True}, "'gamma1'"),
+        ({**_PROBLEM, "mult": "0.5"}, "'mult'"),
+        ({**_PROBLEM, "rhs": 3}, "'rhs'"),
+        ({**_PROBLEM, "rhs": "nope"}, "'rhs'"),
+        ({**_PROBLEM, "kernel_pair": "ab"}, "'kernel_pair'"),
+        ({**_PROBLEM, "kernel_pair": ["exp-sum", 7]}, "'kernel_pair'"),
+        ({"kernel": ["sin-affine"], "rhs": "exp-sin", "n1": 2, "n2": 2}, "'kernel'"),
+    ],
+)
+def test_solve_problem_file_checks_types(capsys, tmp_path, doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "solve", "--problem", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("squarequad: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_solve_problem_file_validation(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"rhs": "exp-sin"}))
@@ -238,6 +305,33 @@ def test_reproduce_table3(capsys):
     body = [ln.split(",") for ln in lines[2:]]
     assert len(body) == 4
     assert all(row[-1] == "ok" for row in body)
+
+
+def test_reproduce_prints_iterations_as_integers(capsys, monkeypatch):
+    from squarequad import testproblems as tp
+
+    run_case = tp.run_case
+    monkeypatch.setattr(tp, "run_case", lambda case_id: run_case(case_id, sizes=[(16, 16)]))
+    code, out, _ = _run(capsys, "reproduce", "4")
+    assert code == 0
+    header, row = out.splitlines()[1:]
+    assert header == "n1,n2,xi_g,xi_a,xi_avg,kappa_g,kappa_a,iters,ok"
+    assert row.split(",")[:2] == ["16", "16"]
+    assert row.split(",")[7] == "3"
+
+
+def test_reproduce_fig1_panels(capsys):
+    panels = {}
+    for ident in ("fig1-left", "fig1-right", "fig1"):
+        code, panels[ident], _ = _run(capsys, "reproduce", ident)
+        assert code == 0
+    left, right = panels["fig1-left"].splitlines(), panels["fig1-right"].splitlines()
+    assert left[:2] == ["# fig1-left: sweep n1=1..30, n2=8", "n1,S_abs,E_max"]
+    assert [int(r.split(",")[0]) for r in left[2:]] == list(range(1, 31))
+    assert right[:2] == ["# fig1-right: sweep n1=n2=2..30", "n,S_abs,E_max,holds"]
+    assert [int(r.split(",")[0]) for r in right[2:]] == list(range(2, 31))
+    assert {r.split(",")[3] for r in right[2:]} <= {"0", "1"}
+    assert panels["fig1"] == panels["fig1-left"] + panels["fig1-right"]
 
 
 def test_reproduce_unknown_id(capsys):

@@ -1,5 +1,7 @@
 """Stored tables: reproduction runs and the tolerance policy."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,21 @@ def test_table_row_solves_each_rule_once(monkeypatch):
     kinds = _count_solves(monkeypatch)
     run_case("eq2", sizes=[(16, 16)])
     assert sorted(kinds) == ["antigauss", "gauss"]
+
+
+def test_row_solutions_do_not_outlive_the_row(monkeypatch):
+    refs = []
+    solve = tp.solve_nystrom
+
+    def spy(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(tp, "solve_nystrom", spy)
+    run_case("eq1", sizes=[(2, 2)])
+    assert len(refs) == 2
+    assert all(ref() is None for ref in refs)
 
 
 def test_iteration_row_skips_the_antigauss_solve(monkeypatch):
