@@ -222,8 +222,9 @@ def cmd_solve(args) -> int:
     if sg.iterations is not None:
         report["iters"] = sg.iterations
 
-    if case.exact is not None or case.reference:
-        report.update(tp._xi_values(sg, sa, tp._ref_grid(case)))
+    ref = tp._ref_grid(case)
+    if ref is not None:
+        report.update(tp._xi_values(sg, sa, ref))
     else:
         # no reference: the half-gap bounds the averaged error when the
         # interpolants bracket the solution
@@ -233,7 +234,7 @@ def cmd_solve(args) -> int:
         )
     report["kappa_g"] = _kappa_or_skipped(sg)
     report["kappa_a"] = _kappa_or_skipped(sa)
-    br = bracketing_check(sg, sa, ref=case.exact)
+    br = bracketing_check(sg, sa, ref=ref)
     report["fraction_between"] = "n/a" if br.fraction_between is None else br.fraction_between
     report["sign_changes"] = int(np.count_nonzero(np.diff(np.sign(br.sign))))
 

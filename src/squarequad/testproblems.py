@@ -2,12 +2,16 @@
 
 Two cubature cases and four integral-equation cases, each carrying the
 reference values the implementation is expected to reproduce and the
-tolerance each value is held to.  Expensive reference artifacts (reference
-integrals and lattice values, the rows' condition numbers; never a solution)
-are memoized in process and cached on disk under SQUAREQUAD_CACHE, default
-``~/.cache/squarequad``, in files named by a digest of the package sources
-and the numpy version.  Files from other code are never read and may be
-deleted at any time; a cold cache regenerates deterministically.
+tolerance each value is held to.  eq1, eq2, eq4 and the zero-kernel demo are
+scored against known solutions; eq2's and eq4's come from small moment
+systems, since their kernels have rank 2 in y.  cub1, cub2 and eq3 are
+scored against a high-order Gauss cubature or Nystrom solve.  Expensive
+reference artifacts (those integrals, eq3's lattice values, the rows'
+condition numbers; never a solution) are memoized in process and cached on
+disk under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, in files named
+by a digest of the package sources and the numpy version.  Files from other
+code are never read and may be deleted at any time; a cold cache
+regenerates deterministically.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .fredholm import (
     solve_nystrom,
 )
 from .orthopoly import JacobiWeight
+from .rules import gauss_rule
 
 __all__ = [
     "Expected",
@@ -135,6 +140,71 @@ def _f_one(x1, x2):
     return np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
 
 
+# ----------------------------------------------- semi-analytic eq2 and eq4
+
+def _eq2_moment_points(case):
+    r1, r2 = gauss_rule(case.w1, 32), gauss_rule(case.w2, 32)
+    # w1 times the rhs factor sin(sqrt(1 - y1)) is the weight (1, 1/2) times
+    # an entire function, so the rhs moments run on that lifted rule
+    lift = gauss_rule(JacobiWeight(1.0, 0.5), 32)
+    lifted = lift.weights / np.sqrt(1.0 - lift.nodes)
+    on_a = (r1.nodes, r1.weights, r2.nodes, r2.weights)
+    return on_a, (lift.nodes, lifted, r2.nodes, r2.weights)
+
+
+def _eq4_moment_points(case):
+    # |cos(1 + x1)|^{9/2} has a kink at x1 = pi/2 - 1: Legendre on each side,
+    # with x1 = 1 - t^2 on the right absorbing w1's (1 - x1)^{-1/2}
+    leg = gauss_rule(_LEGENDRE, 64)
+    kink = math.pi / 2 - 1.0
+    half = 0.5 * (kink + 1.0)
+    left = half * (leg.nodes + 1.0) - 1.0
+    tmax = math.sqrt(1.0 - kink)
+    t = 0.5 * tmax * (leg.nodes + 1.0)
+    x1 = np.concatenate([left, 1.0 - t * t])
+    lam1 = np.concatenate([half * leg.weights / np.sqrt(1.0 - left), tmax * leg.weights])
+    r2 = gauss_rule(case.w2, 32)
+    points = (x1, lam1, r2.nodes, r2.weights)
+    return points, points
+
+
+_MOMENT_POINTS = {"eq2": _eq2_moment_points, "eq4": _eq4_moment_points}
+
+
+@cache
+def _rank2_coeffs(case_id: str) -> tuple:
+    """(c1, c2) of the exact solution g + c1 + c2 y2 of a rank-2 case.
+
+    The case's kernel, multiplier included, is a1(x) + a2(x) y2 with no y1
+    dependence, so the solution is g plus a combination of 1 and y2 whose
+    coefficients c_i = int w a_i f solve the 2x2 moment system
+    (I - A) c = b, A_ij = int w a_i phi_j with phi = (1, x2) and
+    b_i = int w a_i g (the degenerate-kernel method; Atkinson 1997, The
+    Numerical Solution of Integral Equations of the Second Kind, sec. 2.3).
+    The case supplies tensor point sets for the A and the b moments.
+    """
+    case = get_case(case_id)
+    prob = case.problem()
+
+    def moments(x1, lam1, x2, lam2, f):
+        # int w a_i f, i = 1, 2, on one tensor point set
+        x1, x2 = x1[:, None], x2[None, :]
+        a1 = prob.kernel_values(x1, x2, 0.0, 0.0)
+        a2 = prob.kernel_values(x1, x2, 0.0, 1.0) - a1
+        weighted = np.outer(lam1, lam2) * f(x1, x2)
+        return [np.sum(weighted * a1), np.sum(weighted * a2)]
+
+    on_a, on_b = _MOMENT_POINTS[case_id](case)
+    A = np.column_stack([moments(*on_a, lambda x1, x2: 1.0), moments(*on_a, lambda x1, x2: x2)])
+    c = np.linalg.solve(np.eye(2) - A, moments(*on_b, prob.rhs))
+    return float(c[0]), float(c[1])
+
+
+def _rank2_solution(case_id, y1, y2):
+    c1, c2 = _rank2_coeffs(case_id)
+    return RHS[get_case(case_id).rhs_id](y1, y2) + c1 + c2 * np.asarray(y2, dtype=float)
+
+
 KERNELS_1D = {
     "exp-sum": _k_exp_sum,
     "product": _k_product,
@@ -231,7 +301,12 @@ def _eqrow(source, xi_g, xi_a, xi_avg, kappa_g=None, kappa_a=None, iters=None, k
 
 @dataclass(frozen=True, eq=False)
 class TestCase:
-    """One worked problem: inputs, reference recipe, expected-value rows."""
+    """One worked problem: inputs, reference recipe, expected-value rows.
+
+    ``exact`` is the known solution that eq1, eq2, eq4 and zerok are scored
+    against.  ``reference`` gives the sizes of the Gauss cubature (cub1,
+    cub2) or Gauss Nystrom solve (eq3) that serves as reference otherwise.
+    """
 
     id: str
     kind: str  # cubature | equation
@@ -328,8 +403,8 @@ CASES = {
         kernel_id="sin-affine",
         rhs_id="log-sin-root",
         mult=0.3,
+        exact=partial(_rank2_solution, "eq2"),
         solver="gmres-fm",
-        reference=(700, 32),
         rows=(
             ((16, 16), _eqrow("table4", 3.28e-06, 2.88e-06, 2.04e-07, 32.148, 51.621, iters=3)),
             ((32, 16), _eqrow("table4", 2.30e-07, 2.01e-07, 1.44e-08, 36.045, 54.606, iters=3)),
@@ -367,8 +442,8 @@ CASES = {
         kernel_pair_ids=("abs-cos-pow", "affine-sum"),
         rhs_id="exp-sin",
         mult=1.0 / 7.0,
+        exact=partial(_rank2_solution, "eq4"),
         solver="auto",
-        reference=(512, 32),
         allow_uncontained=True,  # first axis fails the node-containment test
         rows=(
             ((16, 16), _eqrow("table6", 4.71e-09, 4.92e-09, 1.05e-10)),
@@ -477,9 +552,11 @@ def _ref_integral(case) -> float:
 
 
 def _ref_grid(case) -> np.ndarray:
-    """Weighted reference values on the comparison lattice."""
+    """Weighted reference values on the comparison lattice; None without one."""
     if case.exact is not None:
         return _lattice_values(case.exact, case.u)
+    if not case.reference:
+        return None
 
     def build():
         m1, m2 = case.reference

@@ -1,6 +1,10 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,32 @@ def test_solve_xi_matches_table_row(capsys):
     assert {r.metric: "%.16e" % r.computed for r in row.rows} == {
         k: report[k] for k in ("xi_g", "xi_a", "xi_avg")
     }
+
+
+@pytest.mark.parametrize("case,n", [("eq2", 16), ("eq3", 8), ("eq4", 16)])
+def test_solve_brackets_against_the_xi_reference(capsys, case, n):
+    # fraction_between uses the same reference as xi, numerical or exact
+    report = _solve_report(capsys, "--case", case, "--n1", str(n), "--n2", str(n))
+    assert float(report["fraction_between"]) == 1.0
+
+
+def test_solve_eq2_output_independent_of_blas_threads(tmp_path):
+    import squarequad
+
+    src = Path(squarequad.__file__).resolve().parent.parent
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+            SQUAREQUAD_CACHE=str(tmp_path / f"cache{threads}"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarequad.cli", "solve", "--case", "eq2",
+             "--n1", "16", "--n2", "16"],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -190,3 +190,31 @@ def test_cubature_row_applies_each_rule_once(monkeypatch):
     report = run_case("cub1", sizes=[(8, 8)])
     assert [r.metric for r in report.rows] == ["r_g", "r_a", "r_avg", "r_est"]
     assert sorted(kinds) == ["antigauss", "gauss"]
+
+
+def test_rank2_coefficients_match_the_oracle_literals():
+    # the test_fredholm oracles state f = g + mult (c1 + c2 y2)
+    for case_id, want, rel in (
+        ("eq2", (0.6796810167475095, 0.2945843447329143), 1e-13),
+        ("eq4", (0.0966716940, 0.0097354177), 1e-8),
+    ):
+        mult = get_case(case_id).mult
+        got = np.array(tp._rank2_coeffs(case_id)) / mult
+        assert got == pytest.approx(want, rel=rel), case_id
+
+
+def test_semi_analytic_references_solve_nothing_and_cache_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
+    tp.clear_memo()
+    kinds = _count_solves(monkeypatch)
+    for case_id in ("eq2", "eq4"):
+        ref = tp._ref_grid(get_case(case_id))
+        assert ref.shape == (50, 50) and np.all(np.isfinite(ref))
+    assert kinds == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eq2_xi_against_the_semi_analytic_reference():
+    # test_eq2_exact_solution_coefficients measures this xi_true itself
+    report = run_case("eq2", sizes=[(64, 16)], metrics=["xi_g"])
+    assert report.rows[0].computed == pytest.approx(3.7584e-08, rel=2e-3)
