@@ -234,8 +234,13 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
                 f"a dense system of {N} unknowns exceeds {_DENSE_LIMIT}; only a kernel "
                 "pair or verified cross factors avoid the N x N matrix"
             )
-        K = entries(slice(None), slice(None))
-        F = np.eye(N) - (uflat[:, None] * K) * dflat[None, :]
+        # I - Phi built in place: the roundings of np.eye(N) - (u K) d
+        # without its N x N temporaries
+        F = uflat[:, None] * entries(slice(None), slice(None))
+        F *= dflat[None, :]
+        diag = 1.0 - F.diagonal()
+        np.subtract(0.0, F, out=F)
+        np.fill_diagonal(F, diag)
         return SystemOperator("dense", n1, n2, dense=F)
 
     if realization == "dense":

@@ -28,9 +28,11 @@ __all__ = [
     "condition_number_inf",
 ]
 
-# entries per block of a row sweep; kernel evaluation is memory-bound, so
-# small blocks run faster than large ones
-_BLOCK_ENTRIES = 2**20
+# entries per block of a row sweep, 512 KB of doubles.  Blocks of 2**20
+# entries were 8 MB temporaries, mapped and page-faulted in afresh for every
+# block.  The widest factored sweep a table reaches (N = 8721) still gets 7
+# rows per block; a one-row block rounds kappa differently
+_BLOCK_ENTRIES = 2**16
 
 # cross approximation: relative rounding level of its stopping test, and the
 # Gaussian probe that verifies the factors against every row of K
@@ -190,11 +192,13 @@ def aca(entries, N: int, rmax: int):
     else:
         return None
 
-    # free the rmax-wide buffers before the sweep: releasing a chunk this
-    # large raises glibc's mmap and trim thresholds, so the sweep's block
-    # temporaries stay mapped instead of being page-faulted in afresh for
-    # every block (kept alive, they made the 22400-unknown eq2 sweep take
-    # 3.3-4.9 s instead of 2.0-2.2 s on 2 cores)
+    # copy the k used columns and free the rmax-wide buffers: views would pin
+    # 2 N rmax doubles for the operator's life, and releasing a mapped chunk
+    # this large raises glibc's mmap threshold above one block, so the
+    # sweep's block temporaries come from the heap instead of being mapped
+    # and page-faulted in afresh (a cold pass over eq2's rows (16,16),
+    # (64,16) and (256,16) took 23 k minor faults with the copy, 183 k
+    # without)
     U, V = U[:, :k].copy(), V[:, :k].copy()
     Z = np.random.default_rng(_PROBE_SEED).standard_normal((N, _PROBE_COLUMNS))
     KZ = np.empty((N, _PROBE_COLUMNS))
@@ -390,7 +394,8 @@ def _norm_inf_identity_plus(P, Q) -> float:
     for lo, hi in row_blocks(N, N):
         blk = P[lo:hi] @ Q.T
         blk[np.arange(hi - lo), np.arange(lo, hi)] += 1.0
-        best = max(best, float(np.max(np.sum(np.abs(blk), axis=1))))
+        np.abs(blk, out=blk)
+        best = max(best, float(np.max(np.sum(blk, axis=1))))
     return best
 
 
@@ -400,10 +405,10 @@ def condition_number_inf(op, cap: int = 4096) -> float:
     A factored operator F = I - A B^T, with A = diag(u) U and
     B = diag(d) V, gets both norms exactly from row blocks, the inverse
     through F^-1 = I + A (I_r - B^T A)^-1 B^T: O(N^2 r) time in row
-    blocks of about 2**20 entries, so memory stays O(N r) plus one block.
-    Other operators go through an explicit
-    inverse.  Refuses systems larger than ``cap`` unknowns; raise the cap
-    explicitly when the cost is intended.
+    blocks of about 2**16 entries, so memory stays O(N r) plus one block.
+    Other operators go through an explicit inverse.  Refuses systems
+    larger than ``cap`` unknowns; raise the cap explicitly when the cost
+    is intended.
     """
     n = op.N if isinstance(op, SystemOperator) else np.asarray(op).shape[0]
     if n > cap:

@@ -329,6 +329,68 @@ def test_dense_assembly_capped_for_every_solver(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_row_sweeps_and_dense_assembly_stay_small():
+    # a row sweep holds one block of about 2**16 entries (512 KB) plus its
+    # kernel temporaries; dense assembly adds nothing to the kernel
+    # evaluation's two N x N blocks
+    case = get_case("eq2")
+    prob = case.problem()
+    rule = sq.antigauss_cubature(case.w1, case.w2, 256, 16, allow_uncontained=case.allow_uncontained)
+    (op, _), peak = _traced_peak_mb(lambda: sq.assemble_system(prob, rule, realization="factored"))
+    assert op.realization == "factored"
+    assert peak <= 8.0
+    assert _traced_peak_mb(lambda: sq.linsolve.condition_number_inf(op, cap=5000))[1] <= 4.0
+    sol = solve_nystrom(prob, 256, 16, rulekind="antigauss", solver="gmres-fm",
+                        allow_uncontained=case.allow_uncontained)
+    assert _traced_peak_mb(lambda: sq.fredholm._lattice_values(sol))[1] <= 4.0
+    # an 8 MB matrix (N = 1024)
+    rule = sq.gauss_cubature(case.w1, case.w2, 64, 16)
+    assert _traced_peak_mb(lambda: sq.assemble_system(prob, rule, realization="dense"))[1] <= 20.0
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [get_case("eq2").problem().kernel, lambda a1, a2, b1, b2: np.sin(a1 + a2)],
+    ids=["eq2", "ignores-the-point"],
+)
+def test_dense_assembly_matches_the_explicit_formula(kernel):
+    case = get_case("eq2")
+    base = case.problem()
+    prob = FredholmProblem(base.w1, base.w2, base.u, base.rhs, kernel=kernel, mult=base.mult)
+    rule = sq.gauss_cubature(case.w1, case.w2, 6, 5)
+    op, _ = sq.assemble_system(prob, rule, realization="dense")
+    x1, x2 = rule.nodes1, rule.nodes2
+    u = prob.u.eval(x1, x2)
+    K = prob.kernel_values(x1[None, :], x2[None, :], x1[:, None], x2[:, None])
+    want = np.eye(u.size) - (u[:, None] * K) * (rule.weights / u)[None, :]
+    assert np.array_equal(op.to_dense(), want)
+    assert np.array_equal(np.signbit(op.to_dense()), np.signbit(want))
+
+
+@pytest.mark.parametrize("n1", [64, 256])
+def test_solve_output_independent_of_the_row_block_size(n1, capsys, monkeypatch):
+    # the N-wide row sweeps (cross-factor probe, kappa, lattice) keep at
+    # least 15 rows per block here; lattice values may move in their last
+    # bits with the block size, but the printed xi and kappa digits must not
+    argv = ["solve", "--case", "eq2", "--n1", str(n1), "--n2", "16"]
+    outs = []
+    for entries in (sq.linsolve._BLOCK_ENTRIES, 2**20):
+        monkeypatch.setattr(sq.linsolve, "_BLOCK_ENTRIES", entries)
+        assert cli_main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_separable_eval_matches_single_callable(rng):
     # the axis-factored contraction against the kernel as one callable, with
     # the same coefficients; the point count ends on a partial block
