@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EvaluationError
+from .linsolve import row_blocks
 from .orthopoly import JacobiWeight, _size, eval_orthonormal, recurrence_coeffs
 from .rules import QuadRule1D, antigauss_rule, gauss_rule
 
@@ -30,13 +32,25 @@ __all__ = [
 ]
 
 
+def _term_rows(r1: QuadRule1D, r2: QuadRule1D, lo: int, hi: int):
+    """Nodes and weights of the tensor term r1 x r2 at axis-2 rows lo:hi, axis 1 fastest."""
+    x1 = np.tile(r1.nodes, hi - lo)
+    x2 = np.repeat(r2.nodes[lo:hi], r1.npoints)
+    lam = np.outer(r2.weights[lo:hi], r1.weights).ravel()
+    return x1, x2, lam
+
+
 @dataclass(frozen=True)
 class CubatureRule2D:
-    """A cubature rule stored as flat node and weight arrays.
+    """A cubature rule stored as its univariate factors.
 
-    The flat index runs through axis 1 fastest.  ``rule1``/``rule2`` hold
-    the univariate factors for the tensor kinds and are None for the
-    averaged rule.
+    The rule is a sum of tensor terms (scale, rule1, rule2): one term of
+    scale 1 for the Gauss and companion kinds, and a half-weighted Gauss
+    term followed by a half-weighted companion term for the averaged rule.
+    ``rule1``/``rule2`` are the factors of a tensor kind and None for the
+    averaged rule.  ``nodes1``, ``nodes2`` and ``weights`` are the flat
+    arrays, axis 1 fastest and the terms in order; they are built on first
+    read and never by ``apply``.
     """
 
     kind: str
@@ -44,29 +58,66 @@ class CubatureRule2D:
     w2: JacobiWeight
     n1: int
     n2: int
-    nodes1: np.ndarray
-    nodes2: np.ndarray
-    weights: np.ndarray
-    rule1: QuadRule1D | None = None
-    rule2: QuadRule1D | None = None
+    _terms: tuple
+
+    @property
+    def rule1(self) -> QuadRule1D | None:
+        return self._terms[0][1] if len(self._terms) == 1 else None
+
+    @property
+    def rule2(self) -> QuadRule1D | None:
+        return self._terms[0][2] if len(self._terms) == 1 else None
 
     @property
     def npoints(self) -> int:
-        return self.weights.size
+        return sum(r1.npoints * r2.npoints for _, r1, r2 in self._terms)
+
+    @cached_property
+    def _flat(self):
+        parts = [(s, *_term_rows(r1, r2, 0, r2.npoints)) for s, r1, r2 in self._terms]
+        x1 = np.concatenate([p[1] for p in parts])
+        x2 = np.concatenate([p[2] for p in parts])
+        lam = np.concatenate([s * w for s, _, _, w in parts])
+        for arr in (x1, x2, lam):
+            arr.flags.writeable = False
+        return x1, x2, lam
+
+    @property
+    def nodes1(self) -> np.ndarray:
+        return self._flat[0]
+
+    @property
+    def nodes2(self) -> np.ndarray:
+        return self._flat[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._flat[2]
 
     def apply(self, f) -> float:
-        """Apply the rule to f(x1, x2); f must evaluate elementwise on arrays."""
-        vals = np.asarray(f(self.nodes1, self.nodes2), dtype=float)
-        vals = np.broadcast_to(vals, self.nodes1.shape)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise EvaluationError(
-                f"integrand returned {vals[i]!r} at node "
-                f"({self.nodes1[i]:.17g}, {self.nodes2[i]:.17g})",
-                node=(self.nodes1[i], self.nodes2[i]),
-            )
-        return float(np.dot(self.weights, vals))
+        """Apply the rule to f(x1, x2); f must evaluate elementwise on arrays.
+
+        f is called on blocks of about 2**16 points, whole rows of one
+        term, generated from the factors, so memory stays O(block) at any
+        rule size.  Each block is summed by numpy's pairwise reduction and
+        the block sums by ``math.fsum``: the value does not depend on the
+        BLAS library or its thread count.
+        """
+        sums = []
+        for scale, r1, r2 in self._terms:
+            for lo, hi in row_blocks(r2.npoints, r1.npoints):
+                x1, x2, lam = _term_rows(r1, r2, lo, hi)
+                vals = np.asarray(f(x1, x2), dtype=float)
+                vals = np.broadcast_to(vals, x1.shape)
+                bad = ~np.isfinite(vals)
+                if np.any(bad):
+                    i = int(np.argmax(bad))
+                    raise EvaluationError(
+                        f"integrand returned {vals[i]!r} at node ({x1[i]:.17g}, {x2[i]:.17g})",
+                        node=(x1[i], x2[i]),
+                    )
+                sums.append(scale * float(np.add.reduce(lam * vals)))
+        return math.fsum(sums)
 
 
 def _tensorize(kind, w1, w2, n1, n2, allow_uncontained) -> CubatureRule2D:
@@ -86,12 +137,7 @@ def _tensorize(kind, w1, w2, n1, n2, allow_uncontained) -> CubatureRule2D:
             + " and ".join(which)
             + "; pass allow_uncontained=True if the integrand extends beyond the square"
         )
-    x1 = np.tile(r1.nodes, r2.npoints)
-    x2 = np.repeat(r2.nodes, r1.npoints)
-    lam = np.outer(r2.weights, r1.weights).ravel()
-    for arr in (x1, x2, lam):
-        arr.flags.writeable = False
-    return CubatureRule2D(kind, w1, w2, n1, n2, x1, x2, lam, rule1=r1, rule2=r2)
+    return CubatureRule2D(kind, w1, w2, n1, n2, ((1.0, r1, r2),))
 
 
 def gauss_cubature(w1: JacobiWeight, w2: JacobiWeight, n1: int, n2: int) -> CubatureRule2D:
@@ -125,12 +171,8 @@ def averaged_cubature(
     """Mean of the tensor Gauss rule and its companion, on the union grid."""
     g = gauss_cubature(w1, w2, n1, n2)
     a = antigauss_cubature(w1, w2, n1, n2, allow_uncontained=allow_uncontained)
-    x1 = np.concatenate([g.nodes1, a.nodes1])
-    x2 = np.concatenate([g.nodes2, a.nodes2])
-    lam = 0.5 * np.concatenate([g.weights, a.weights])
-    for arr in (x1, x2, lam):
-        arr.flags.writeable = False
-    return CubatureRule2D("averaged", w1, w2, g.n1, g.n2, x1, x2, lam)
+    terms = ((0.5, g.rule1, g.rule2), (0.5, a.rule1, a.rule2))
+    return CubatureRule2D("averaged", w1, w2, g.n1, g.n2, terms)
 
 
 def error_estimate(f, w1, w2, n1, n2, allow_uncontained: bool = False) -> float:

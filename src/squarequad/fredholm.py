@@ -377,7 +377,9 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
             kb = prob.kernel_values(
                 rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]
             )
-            acc[lo:hi] = kb @ da
+            # einsum adds each row in one fixed order; a BLAS gemv would round
+            # by the block's row count and the thread count
+            acc[lo:hi] = np.einsum("ij,j->i", kb, da)
         bad = ~np.isfinite(acc)
         if np.any(bad):
             # a non-finite kernel value spoils the sum at its point, so only the

@@ -159,3 +159,49 @@ def integral_poly(c, alpha1, beta1, alpha2, beta2) -> float:
     m1 = moments(alpha1, beta1, c.shape[0] - 1)
     m2 = moments(alpha2, beta2, c.shape[1] - 1)
     return float(m1 @ c @ m2)
+
+
+def jacobi_recurrence_mp(alpha, beta, m):
+    """Monic recurrence coefficients a_0..a_{m-1}, b_0..b_{m-1} of a Jacobi weight.
+
+    Closed forms in mpmath at the working precision, for the weight
+    (1-x)^alpha (1+x)^beta; b_0 is its total mass.  The k = 0 and k = 1
+    terms are written out so that alpha + beta in {0, -1} needs no limit.
+    """
+    al, be = mp.mpf(alpha), mp.mpf(beta)
+    s = al + be
+    a = [(be - al) / (s + 2)]
+    b = [mp.power(2, s + 1) * mp.gamma(al + 1) * mp.gamma(be + 1) / mp.gamma(s + 2)]
+    for k in range(1, m):
+        a.append((be * be - al * al) / ((2 * k + s) * (2 * k + s + 2)))
+        if k == 1:
+            b.append(4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s)))
+        else:
+            b.append(
+                4 * k * (k + al) * (k + be) * (k + s)
+                / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+            )
+    return a, b
+
+
+def jacobi_matrix_rule_mp(alpha, beta, n, bordered=False, digits=40):
+    """Golub-Welsch rule from mpmath.eigsy, as float arrays sorted by node.
+
+    The n-point Gauss rule, or with ``bordered`` the (n+1)-point anti-Gauss
+    rule, whose order-(n+1) Jacobi matrix has sqrt(2 b_n) as its last
+    off-diagonal entry.
+    """
+    m = n + 1 if bordered else n
+    with mp.workdps(digits):
+        a, b = jacobi_recurrence_mp(alpha, beta, m)
+        jac = mp.matrix(m, m)
+        for i in range(m):
+            jac[i, i] = a[i]
+        for i in range(1, m):
+            off = mp.sqrt(2 * b[i] if bordered and i == n else b[i])
+            jac[i, i - 1] = jac[i - 1, i] = off
+        values, vectors = mp.eigsy(jac)
+        nodes = np.array([float(values[i]) for i in range(m)])
+        weights = np.array([float(b[0] * vectors[0, i] ** 2) for i in range(m)])
+    order = np.argsort(nodes)
+    return nodes[order], weights[order]

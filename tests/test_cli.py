@@ -179,22 +179,36 @@ def test_solve_brackets_against_the_xi_reference(capsys, case, n):
     assert float(report["fraction_between"]) == 1.0
 
 
-def test_solve_eq2_output_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "1"],
+        ["reproduce", "2"],
+        ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
+        ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
+    ],
+    ids=["reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out"],
+)
+def test_output_independent_of_blas_threads(tmp_path, argv):
+    # each run gets its own cache: a shared one would serve the first run's
+    # reference integral to the second and hide a difference
     import squarequad
 
     src = Path(squarequad.__file__).resolve().parent.parent
     outs = []
     for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
         env = dict(
             os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
-            SQUAREQUAD_CACHE=str(tmp_path / f"cache{threads}"),
+            SQUAREQUAD_CACHE=str(run_dir / "cache"),
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "squarequad.cli", "solve", "--case", "eq2",
-             "--n1", "16", "--n2", "16"],
-            env=env, capture_output=True, check=True,
+            [sys.executable, "-m", "squarequad.cli", *argv],
+            env=env, cwd=run_dir, capture_output=True, check=True,
         )
-        outs.append(proc.stdout)
+        written = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+        outs.append((proc.stdout, written))
     assert outs[0] == outs[1]
 
 

@@ -1,5 +1,8 @@
 """Tensor-product cubature, error estimation, bracketing diagnostics."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from squarequad import (
     chebyshev_bracketing_terms,
     error_estimate,
     gauss_cubature,
+    gauss_rule,
 )
+from squarequad import linsolve
 
 from oracles import integral_poly, jacobi_b0, random_poly_pair
 
@@ -55,6 +60,74 @@ def test_apply_rejects_nonfinite():
 def test_zero_function():
     r = averaged_cubature(LEG, LEG, 3, 3)
     assert r.apply(lambda a, b: np.zeros_like(a)) == 0.0
+
+
+@pytest.mark.parametrize("make", [gauss_cubature, antigauss_cubature, averaged_cubature])
+def test_flat_arrays_are_the_tensor_formulas(make):
+    r = make(JacobiWeight(0.3, -0.2), CH1, 5, 7)
+    g = gauss_cubature(JacobiWeight(0.3, -0.2), CH1, 5, 7)
+    a = antigauss_cubature(JacobiWeight(0.3, -0.2), CH1, 5, 7)
+    parts = {"gauss": [(1.0, g)], "antigauss": [(1.0, a)], "averaged": [(0.5, g), (0.5, a)]}
+    x1, x2, lam = [], [], []
+    for scale, t in parts[r.kind]:
+        f1, f2 = t.rule1, t.rule2
+        x1.append(np.tile(f1.nodes, f2.npoints))
+        x2.append(np.repeat(f2.nodes, f1.npoints))
+        lam.append(scale * np.outer(f2.weights, f1.weights).ravel())
+    assert np.array_equal(r.nodes1, np.concatenate(x1))
+    assert np.array_equal(r.nodes2, np.concatenate(x2))
+    assert np.array_equal(r.weights, np.concatenate(lam))
+    assert r.npoints == r.weights.size
+    assert not (r.nodes1.flags.writeable or r.nodes2.flags.writeable or r.weights.flags.writeable)
+    # the value is the flat weighted sum, up to the order of the additions
+    f = lambda u, v: np.cos(u + 2.0 * v) + 1.5
+    flat = math.fsum(r.weights * f(r.nodes1, r.nodes2))
+    assert r.apply(f) == pytest.approx(flat, rel=4 * np.finfo(float).eps)
+
+
+def _first_bad_node(r, bad):
+    i = int(np.argmax(bad(r.nodes1, r.nodes2)))
+    return i, (r.nodes1[i], r.nodes2[i])
+
+
+def test_apply_names_the_first_nonfinite_node_of_a_later_block(monkeypatch):
+    # blocks of two rows of 6 points; the first bad node sits in row 5
+    monkeypatch.setattr(linsolve, "_BLOCK_ENTRIES", 12)
+    r = gauss_cubature(LEG, CH1, 6, 7)
+    z1, z2 = r.rule1.nodes, r.rule2.nodes
+    bad = lambda a, b: (b >= z2[5]) & (a >= z1[3])
+    i, node = _first_bad_node(r, bad)
+    assert i == 5 * 6 + 3
+    with pytest.raises(EvaluationError, match="at node") as err:
+        r.apply(lambda a, b: np.where(bad(a, b), np.inf, 1.0))
+    assert err.value.node == node
+    assert f"({node[0]:.17g}, {node[1]:.17g})" in str(err.value)
+
+
+def test_apply_names_the_first_nonfinite_node_in_the_antigauss_half():
+    r = averaged_cubature(LEG, CH1, 4, 3)
+    a = antigauss_cubature(LEG, CH1, 4, 3)
+    # an anti-Gauss node of row 2, column 1; no Gauss node matches it
+    target = (a.rule1.nodes[1], a.rule2.nodes[2])
+    bad = lambda u, v: (u == target[0]) & (v == target[1])
+    i, node = _first_bad_node(r, bad)
+    assert i == 4 * 3 + 2 * 5 + 1 and node == target
+    with pytest.raises(EvaluationError) as err:
+        r.apply(lambda u, v: np.where(bad(u, v), np.nan, 0.0))
+    assert err.value.node == target
+
+
+def test_large_rule_builds_and_applies_in_small_memory():
+    # the flat arrays alone are 6 MB at 512 x 512; apply never builds them
+    gauss_rule(LEG, 512)
+    tracemalloc.start()
+    try:
+        value = gauss_cubature(LEG, LEG, 512, 512).apply(lambda a, b: np.exp(a) * np.cos(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx((math.e - 1.0 / math.e) * 2.0 * math.sin(1.0), rel=1e-14)
+    assert peak < 8 * 2**20
 
 
 def test_averaged_node_count():

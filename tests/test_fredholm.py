@@ -391,6 +391,21 @@ def test_solve_output_independent_of_the_row_block_size(n1, capsys, monkeypatch)
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
+def test_lattice_values_independent_of_the_row_block_size(rulekind, monkeypatch):
+    # the non-separable lattice sum adds each row in one order, whatever the
+    # rows per block (1, 3, 7, 16 and the default, which holds more)
+    sol = solve_nystrom(get_case("eq2").problem(), 16, 16, rulekind=rulekind)
+    y1, y2 = _grid()
+    default = sq.linsolve._BLOCK_ENTRIES
+    want = interpolant_eval(sol, y1, y2, unweighted=False)[0]
+    for rows in (1, 3, 7, 16):
+        monkeypatch.setattr(sq.linsolve, "_BLOCK_ENTRIES", rows * sol.rule.npoints)
+        got = interpolant_eval(sol, y1, y2, unweighted=False)[0]
+        assert np.array_equal(got, want), rows
+    assert default // sol.rule.npoints > 16
+
+
 def test_separable_eval_matches_single_callable(rng):
     # the axis-factored contraction against the kernel as one callable, with
     # the same coefficients; the point count ends on a partial block
