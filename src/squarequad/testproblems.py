@@ -1,17 +1,18 @@
 """Built-in worked problems with stored regression tables.
 
-Two cubature cases and four integral-equation cases, each carrying the
+Two cubature cases and five integral-equation cases, each carrying the
 reference values the implementation is expected to reproduce and the
-tolerance each value is held to.  eq1, eq2, eq4 and the zero-kernel demo are
-scored against known solutions; eq2's and eq4's come from small moment
-systems, since their kernels have rank 2 in y.  cub1, cub2 and eq3 are
-scored against a high-order Gauss cubature or Nystrom solve.  Expensive
-reference artifacts (those integrals, eq3's lattice values, the rows'
-condition numbers; never a solution) are memoized in process and cached on
-disk under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, in files named
-by a digest of the package sources and the numpy version.  Files from other
-code are never read and may be deleted at any time; a cold cache
-regenerates deterministically.
+tolerance each value is held to.  Every equation case is scored against a
+known solution: eq1 and the zero-kernel demo have closed forms, and eq2's,
+eq3's and eq4's come from small moment systems of their kernels interpolated
+in y (exact for eq2's and eq4's rank-2 kernels, converged to rounding for
+eq3's).  cub1 and cub2 are scored against a high-order Gauss cubature.
+Expensive reference artifacts (those two integrals and the rows' condition
+numbers; never a solution) are memoized in process and cached on disk under
+SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, in files named by a digest
+of the package sources and the numpy version.  Files from other code are
+never read and may be deleted at any time; a cold cache regenerates
+deterministically.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .fredholm import (
     relative_error,
     solve_nystrom,
 )
+from .linsolve import stein_solve
 from .orthopoly import JacobiWeight
 from .rules import gauss_rule
 
@@ -140,7 +142,24 @@ def _f_one(x1, x2):
     return np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
 
 
-# ----------------------------------------------- semi-analytic eq2 and eq4
+# ------------------------------------- degenerate-kernel eq2, eq3 and eq4
+
+def _lagrange_basis(t, x):
+    """l_p(x) of the Lagrange basis on the nodes t, shape (len(x), len(t))."""
+    d = np.asarray(x, dtype=float).reshape(1, -1) - t[:, None]
+    # prod_{q != p} (x - t_q) from prefix and suffix products of the rows of d
+    ones = np.ones_like(d[:1])
+    left = np.cumprod(np.vstack([ones, d[:-1]]), axis=0)
+    right = np.cumprod(np.vstack([ones, d[:0:-1]]), axis=0)[::-1]
+    diff = t[:, None] - t
+    np.fill_diagonal(diff, 1.0)
+    return (left * right / np.prod(diff, axis=1)[:, None]).T
+
+
+# eq2's and eq4's kernels are constant in y1 and affine in y2, so these
+# nodes interpolate them exactly
+_RANK2_NODES = (np.array([0.0]), np.array([0.0, 1.0]))
+
 
 def _eq2_moment_points(case):
     r1, r2 = gauss_rule(case.w1, 32), gauss_rule(case.w2, 32)
@@ -149,7 +168,30 @@ def _eq2_moment_points(case):
     lift = gauss_rule(JacobiWeight(1.0, 0.5), 32)
     lifted = lift.weights / np.sqrt(1.0 - lift.nodes)
     on_a = (r1.nodes, r1.weights, r2.nodes, r2.weights)
-    return on_a, (lift.nodes, lifted, r2.nodes, r2.weights)
+    return _RANK2_NODES, on_a, (lift.nodes, lifted, r2.nodes, r2.weights)
+
+
+# Chebyshev nodes per axis and Gauss points per moment rule for eq3; the
+# reference moves by at most 5e-16 relative at (32, 64)
+_EQ3_NODES, _EQ3_POINTS = 24, 32
+
+
+def _eq3_moment_points(case, r=_EQ3_NODES, n=_EQ3_POINTS):
+    # exp(-(1 + x)(1 + y)) is entire in y, so its Chebyshev interpolant
+    # converges geometrically (Trefethen, Approximation Theory and
+    # Approximation Practice, 2013, ch. 8)
+    t = np.cos(np.pi * np.arange(r) / (r - 1))  # Chebyshev points
+    r1, r2 = gauss_rule(case.w1, n), gauss_rule(case.w2, n)
+    # sin((1 - y1)^1.5) is (1 - y1)^1.5 times an entire function of
+    # (1 - y1)^3, so w times the rhs is the weight (2, 1/2) x (1/2, 2) times
+    # an entire function: the rhs moments run on those lifted rules
+    lift1 = gauss_rule(JacobiWeight(2.0, 0.5), n)
+    lift2 = gauss_rule(JacobiWeight(0.5, 2.0), n)
+    on_b = (
+        lift1.nodes, lift1.weights / (1.0 - lift1.nodes) ** 1.5,
+        lift2.nodes, lift2.weights / (1.0 + lift2.nodes) ** 1.5,
+    )
+    return (t, t), (r1.nodes, r1.weights, r2.nodes, r2.weights), on_b
 
 
 def _eq4_moment_points(case):
@@ -165,44 +207,63 @@ def _eq4_moment_points(case):
     lam1 = np.concatenate([half * leg.weights / np.sqrt(1.0 - left), tmax * leg.weights])
     r2 = gauss_rule(case.w2, 32)
     points = (x1, lam1, r2.nodes, r2.weights)
-    return points, points
+    return _RANK2_NODES, points, points
 
 
-_MOMENT_POINTS = {"eq2": _eq2_moment_points, "eq4": _eq4_moment_points}
+_MOMENT_POINTS = {"eq2": _eq2_moment_points, "eq3": _eq3_moment_points, "eq4": _eq4_moment_points}
 
 
 @cache
-def _rank2_coeffs(case_id: str) -> tuple:
-    """(c1, c2) of the exact solution g + c1 + c2 y2 of a rank-2 case.
+def _degenerate_coeffs(case_id: str) -> tuple:
+    """(t1, t2, C) of the exact solution g + sum_jk C_jk l_j(y1) l_k(y2).
 
-    The case's kernel, multiplier included, is a1(x) + a2(x) y2 with no y1
-    dependence, so the solution is g plus a combination of 1 and y2 whose
-    coefficients c_i = int w a_i f solve the 2x2 moment system
-    (I - A) c = b, A_ij = int w a_i phi_j with phi = (1, x2) and
-    b_i = int w a_i g (the degenerate-kernel method; Atkinson 1997, The
-    Numerical Solution of Integral Equations of the Second Kind, sec. 2.3).
-    The case supplies tensor point sets for the A and the b moments.
+    The case names interpolation nodes t1, t2 in y, with l_j the Lagrange
+    basis on them.  Interpolating the kernel, multiplier included, in y
+    makes it degenerate, so the solution is g plus a combination of the
+    l_j(y1) l_k(y2) whose coefficients C_jk = int w k(x, (t1_j, t2_k)) f
+    solve the moment system C = G + M C, with
+    M_jk,pq = int w k(x, (t1_j, t2_k)) l_p(x1) l_q(x2) and
+    G_jk = int w k(x, (t1_j, t2_k)) g (the degenerate-kernel method;
+    Atkinson 1997, The Numerical Solution of Integral Equations of the
+    Second Kind, sec. 2.3).  The case supplies tensor point sets for the M
+    and the G moments.  For a kernel pair M is M2 (x) M1, with
+    M_l[j, p] = int w_l k_l(x, t_j) l_p(x), and C solves the Stein equation
+    C = mult G + mult M1 C M2^T; a non-separable kernel gets a dense solve.
     """
     case = get_case(case_id)
     prob = case.problem()
+    (t1, t2), (x1, lam1, x2, lam2), (z1, nu1, z2, nu2) = _MOMENT_POINTS[case_id](case)
+    l1, l2 = _lagrange_basis(t1, x1), _lagrange_basis(t2, x2)
+    g = prob.rhs(z1[:, None], z2[None, :])
+    if prob.kernel_pair:
+        k1, k2 = prob.kernel_pair
+        m1 = (lam1[:, None] * k1(x1[:, None], t1)).T @ l1
+        m2 = (lam2[:, None] * k2(x2[:, None], t2)).T @ l2
+        G = (nu1[:, None] * k1(z1[:, None], t1)).T @ g @ (nu2[:, None] * k2(z2[:, None], t2))
+        coeffs = stein_solve(prob.mult * m1, m2, prob.mult * G)
+    else:
+        def weighted_kernels(x1, lam1, x2, lam2):
+            # lam1_i lam2_i' k(x_ii', (t1_j, t2_k)), one array per node pair jk
+            w, x1, x2 = np.outer(lam1, lam2), x1[:, None], x2[None, :]
+            return [w * prob.kernel_values(x1, x2, s1, s2) for s1 in t1 for s2 in t2]
 
-    def moments(x1, lam1, x2, lam2, f):
-        # int w a_i f, i = 1, 2, on one tensor point set
-        x1, x2 = x1[:, None], x2[None, :]
-        a1 = prob.kernel_values(x1, x2, 0.0, 0.0)
-        a2 = prob.kernel_values(x1, x2, 0.0, 1.0) - a1
-        weighted = np.outer(lam1, lam2) * f(x1, x2)
-        return [np.sum(weighted * a1), np.sum(weighted * a2)]
-
-    on_a, on_b = _MOMENT_POINTS[case_id](case)
-    A = np.column_stack([moments(*on_a, lambda x1, x2: 1.0), moments(*on_a, lambda x1, x2: x2)])
-    c = np.linalg.solve(np.eye(2) - A, moments(*on_b, prob.rhs))
-    return float(c[0]), float(c[1])
+        basis = [np.outer(p1, p2) for p1 in l1.T for p2 in l2.T]
+        on_a = weighted_kernels(x1, lam1, x2, lam2)
+        A = np.array([[np.sum(k * phi) for phi in basis] for k in on_a])
+        b = [np.sum(k * g) for k in weighted_kernels(z1, nu1, z2, nu2)]
+        coeffs = np.linalg.solve(np.eye(len(basis)) - A, b).reshape(len(t1), len(t2))
+    for a in (t1, t2, coeffs):
+        a.setflags(write=False)  # the cached result is shared by every caller
+    return t1, t2, coeffs
 
 
-def _rank2_solution(case_id, y1, y2):
-    c1, c2 = _rank2_coeffs(case_id)
-    return RHS[get_case(case_id).rhs_id](y1, y2) + c1 + c2 * np.asarray(y2, dtype=float)
+def _degenerate_solution(case_id, y1, y2):
+    t1, t2, coeffs = _degenerate_coeffs(case_id)
+    y1, y2 = np.broadcast_arrays(np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
+    l1, l2 = _lagrange_basis(t1, y1), _lagrange_basis(t2, y2)
+    # a fixed-order sum, so the values do not depend on the BLAS thread count
+    corr = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", l1, coeffs), l2).reshape(y1.shape)
+    return RHS[get_case(case_id).rhs_id](y1, y2) + corr
 
 
 KERNELS_1D = {
@@ -303,9 +364,9 @@ def _eqrow(source, xi_g, xi_a, xi_avg, kappa_g=None, kappa_a=None, iters=None, k
 class TestCase:
     """One worked problem: inputs, reference recipe, expected-value rows.
 
-    ``exact`` is the known solution that eq1, eq2, eq4 and zerok are scored
-    against.  ``reference`` gives the sizes of the Gauss cubature (cub1,
-    cub2) or Gauss Nystrom solve (eq3) that serves as reference otherwise.
+    ``exact`` is the known solution that an equation case is scored
+    against.  ``reference`` gives the sizes of the Gauss cubature that a
+    cubature case (cub1, cub2) is scored against.
     """
 
     id: str
@@ -403,7 +464,7 @@ CASES = {
         kernel_id="sin-affine",
         rhs_id="log-sin-root",
         mult=0.3,
-        exact=partial(_rank2_solution, "eq2"),
+        exact=partial(_degenerate_solution, "eq2"),
         solver="gmres-fm",
         rows=(
             ((16, 16), _eqrow("table4", 3.28e-06, 2.88e-06, 2.04e-07, 32.148, 51.621, iters=3)),
@@ -423,8 +484,8 @@ CASES = {
         kernel_pair_ids=("exp-negprod", "exp-negprod"),
         rhs_id="cos-pow-sinroot",
         mult=0.3,
+        exact=partial(_degenerate_solution, "eq3"),
         solver="gmres-sk",
-        reference=(512, 512),
         rows=(
             ((16, 16), _eqrow("ex3", 5.60e-09, 5.42e-09, 8.77e-11)),
             ((32, 32), _eqrow("ex3", 1.05e-10, 1.02e-10, 1.64e-12)),
@@ -442,7 +503,7 @@ CASES = {
         kernel_pair_ids=("abs-cos-pow", "affine-sum"),
         rhs_id="exp-sin",
         mult=1.0 / 7.0,
-        exact=partial(_rank2_solution, "eq4"),
+        exact=partial(_degenerate_solution, "eq4"),
         solver="auto",
         allow_uncontained=True,  # first axis fails the node-containment test
         rows=(
@@ -552,21 +613,14 @@ def _ref_integral(case) -> float:
 
 
 def _ref_grid(case) -> np.ndarray:
-    """Weighted reference values on the comparison lattice; None without one."""
-    if case.exact is not None:
-        return _lattice_values(case.exact, case.u)
-    if not case.reference:
+    """Weighted exact-solution values on the comparison lattice; None without one."""
+    if case.exact is None:
         return None
-
-    def build():
-        m1, m2 = case.reference
-        sol = solve_nystrom(
-            case.problem(), m1, m2, rulekind="gauss", solver=case.solver,
-            allow_uncontained=case.allow_uncontained,
-        )
-        return _lattice_values(sol)
-
-    return _cached(case.id, "ref_grid", build)
+    if (case.id, "exact_grid") not in _memo:
+        grid = _lattice_values(case.exact, case.u)
+        grid.setflags(write=False)
+        _memo[case.id, "exact_grid"] = grid
+    return _memo[case.id, "exact_grid"]
 
 
 def _xi_values(gauss_sol, anti_sol, ref) -> dict:
