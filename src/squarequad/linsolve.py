@@ -236,90 +236,75 @@ def _as_matvec(op):
     return lambda v: mat @ v
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed in one fixed order; BLAS ddot's order follows its threads."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def gmres(op, b, tol: float = 1e-14, maxiter: int | None = None):
-    """Unrestarted GMRES with modified Gram-Schmidt.
+    """Unrestarted GMRES from the zero vector, classical Gram-Schmidt twice.
 
-    Starts from the zero vector.  One extra orthogonalization pass fires
-    whenever the basis loses more than 1e-8 of orthogonality.  The
-    returned residual history is the rotation-recurrence estimate, which
-    never increases.
-
-    Returns (x, KrylovStats).  Raises ConvergenceError, with the stats
-    attached, if the target is not reached within maxiter steps.
+    Every Arnoldi step orthogonalizes twice, which keeps the basis orthogonal
+    to working precision ("twice is enough": Giraud, Langou & Rozloznik 2005,
+    Comput. Math. Appl. 50).  Every sum runs in one fixed order, whatever the
+    BLAS thread count.  The residual history is the rotation-recurrence
+    estimate, which never increases.  Returns (x, KrylovStats); raises
+    ConvergenceError, stats attached, if maxiter steps miss the target.
     """
     matvec = _as_matvec(op)
     b = np.asarray(b, dtype=float)
     N = b.size
-    if maxiter is None:
-        maxiter = N
-    beta = float(np.linalg.norm(b))
+    maxiter = N if maxiter is None else maxiter
+    beta = _dot(b, b) ** 0.5
     if beta == 0.0:
         return np.zeros(N), KrylovStats(0, np.zeros(1))
 
     V = [b / beta]
     R = []  # triangularized columns
-    cs: list[float] = []
-    sn: list[float] = []
+    rot = []  # Givens (cos, sin) pairs
     g = [beta]
     residuals = [beta]
     target = tol * beta
-    tiny = np.finfo(float).eps * beta
 
-    converged = False
     for k in range(maxiter):
         w = matvec(V[k]).astype(float, copy=True)
-        h = np.empty(k + 2)
-        for i in range(k + 1):
-            h[i] = np.dot(V[i], w)
-            w -= h[i] * V[i]
-        nw = float(np.linalg.norm(w))
-        proj = np.array([np.dot(V[i], w) for i in range(k + 1)])
-        if nw > 0.0 and np.max(np.abs(proj)) > 1e-8 * nw:
-            for i in range(k + 1):
-                w -= proj[i] * V[i]
-            h[: k + 1] += proj
-            nw = float(np.linalg.norm(w))
-        h[k + 1] = nw
+        h = np.zeros(k + 2)
+        for _ in range(2):
+            p = [_dot(v, w) for v in V]
+            for pi, v in zip(p, V):
+                w -= pi * v
+            h[: k + 1] += p
+        nw = h[k + 1] = _dot(w, w) ** 0.5
 
         # apply the accumulated rotations, then a new one to kill h[k+1]
-        for i in range(k):
-            t = cs[i] * h[i] + sn[i] * h[i + 1]
-            h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
-            h[i] = t
+        for i, (c, s) in enumerate(rot):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], -s * h[i] + c * h[i + 1]
         denom = float(np.hypot(h[k], h[k + 1]))
-        if denom == 0.0:
-            c_new, s_new = 1.0, 0.0
-        else:
-            c_new, s_new = h[k] / denom, h[k + 1] / denom
-        cs.append(c_new)
-        sn.append(s_new)
+        c, s = (h[k] / denom, h[k + 1] / denom) if denom != 0.0 else (1.0, 0.0)
+        rot.append((c, s))
         h[k] = denom
-        g.append(-s_new * g[k])
-        g[k] = c_new * g[k]
-        R.append(h[: k + 1].copy())
-        res = abs(g[k + 1])
-        residuals.append(res)
-        breakdown = nw <= tiny
-        if res <= target or breakdown:
-            converged = True
+        g[k:] = c * g[k], -s * g[k]
+        R.append(h[: k + 1])
+        residuals.append(abs(g[k + 1]))
+        if residuals[-1] <= target or nw <= np.finfo(float).eps * beta:
             break
         V.append(w / nw)
+    else:
+        if residuals[-1] > target:
+            raise ConvergenceError(
+                f"gmres stopped at iteration {maxiter} with residual {residuals[-1]:.3e} "
+                f"(target {target:.3e})",
+                stats=KrylovStats(maxiter, np.asarray(residuals)),
+            )
 
     m = len(R)
-    y = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        y[i] = (g[i] - sum(R[j][i] * y[j] for j in range(i + 1, m))) / R[i][i]
+    T = np.zeros((m, m))
+    for j, col in enumerate(R):
+        T[: j + 1, j] = col
     x = np.zeros(N)
-    for i in range(m):
-        x += y[i] * V[i]
-    stats = KrylovStats(m, np.asarray(residuals))
-    if not converged and residuals[-1] > target:
-        raise ConvergenceError(
-            f"gmres stopped at iteration {m} with residual {residuals[-1]:.3e} "
-            f"(target {target:.3e})",
-            stats=stats,
-        )
-    return x, stats
+    for yi, v in zip(np.linalg.solve(T, g[:m]), V):
+        x += yi * v
+    return x, KrylovStats(m, np.asarray(residuals))
 
 
 def _spectral_radius(mat: np.ndarray, iters: int = 50) -> float:

