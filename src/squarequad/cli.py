@@ -45,7 +45,10 @@ __all__ = ["main", "build_parser"]
 
 _FLOAT = "%.16e"
 
-_NUMERIC_ERRORS = (AssemblyError, CapacityError, ConvergenceError, EvaluationError)
+# LinAlgError subclasses ValueError, so main tests these first
+_NUMERIC_ERRORS = (
+    AssemblyError, CapacityError, ConvergenceError, EvaluationError, np.linalg.LinAlgError
+)
 
 # reproduce ids; anything else exits 2
 _TABLES = {"1": "cub1", "2": "cub2", "3": "eq1", "4": "eq2", "6": "eq4"}
@@ -406,12 +409,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"squarequad: {exc}\n")
-        return 2
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"squarequad: numeric failure: {exc}\n")
         return 3
+    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+        sys.stderr.write(f"squarequad: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

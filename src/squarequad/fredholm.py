@@ -287,9 +287,9 @@ def solve_nystrom(
     ``rulekind`` is ``gauss`` (n1 x n2 points) or ``antigauss`` (one more
     per axis).  Solvers: ``lu``, ``gmres`` (dense matvec), ``gmres-fm``
     (low-rank matvec), ``gmres-sk`` and ``stein`` (separable kernels
-    only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` whenever it
-    fails, whether its contraction precheck rejects the factors or the
-    iteration stalls; ``NystromSolution.solver`` names the solver that ran.
+    only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` whenever its
+    iteration diverges or stalls; ``NystromSolution.solver`` names the
+    solver that ran.
     ``tol`` is the relative residual target of GMRES and Stein alike and
     must be a finite number > 0.
     """

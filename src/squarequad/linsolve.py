@@ -10,6 +10,7 @@ GMRES and a squared-iteration Stein solver consume them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,34 +308,18 @@ def gmres(op, b, tol: float = 1e-14, maxiter: int | None = None):
     return x, KrylovStats(m, np.asarray(residuals))
 
 
-def _spectral_radius(mat: np.ndarray, iters: int = 50) -> float:
-    """Power-iteration estimate; deterministic start, geometric-mean ratio."""
-    n = mat.shape[0]
-    rng = np.random.default_rng(1905)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    logs = []
-    for _ in range(iters):
-        v = mat @ v
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        logs.append(np.log(nv))
-        v /= nv
-    return float(np.exp(np.mean(logs[-10:])))
-
-
 def stein_solve(phi1, phi2, h, tol: float = 1e-13, maxiter: int = 200):
-    """Solve A - Phi1 A Phi2^T = H by the squared iteration.
+    """Solve A - Phi1 A Phi2^T = H by the squared (Smith) iteration.
 
     Each pass doubles the number of series terms captured:
-    A <- A + M A P^T, M <- M^2, P <- P^2.  Stops when the Frobenius
-    residual drops below tol * ||H||_F.  Divergence is screened first
-    through power-iteration estimates of the two spectral radii r1, r2.
-    The iteration runs on M = s Phi1 and P = Phi2 / s with
-    s = sqrt(r2 / r1), which leaves M A P^T unchanged but gives both
-    factors the radius sqrt(r1 r2) < 1, so neither power overflows while
-    the other underflows.
+    A <- A + M A P^T, then M <- M^2 2^e and P <- P^2 2^-e, where the
+    power of two e = round(log2(||P^2||_F / ||M^2||_F) / 2) gives both
+    factors about the same norm.  Scaling by 2^e is exact, so M A P^T
+    does not change, and neither factor overflows while the other
+    underflows.  The iteration's own Frobenius residual decides the rest:
+    it returns A once the residual drops below tol * ||H||_F, and raises
+    ConvergenceError once the residual exceeds ||H||_F / eps, where no
+    digit of A is left, or after ``maxiter`` doublings.
     """
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
@@ -343,32 +328,31 @@ def stein_solve(phi1, phi2, h, tol: float = 1e-13, maxiter: int = 200):
         raise ValueError(
             f"right-hand side {h.shape} does not match ({phi1.shape[0]}, {phi2.shape[0]})"
         )
-    r1 = _spectral_radius(phi1)
-    r2 = _spectral_radius(phi2)
-    if r1 * r2 >= 1.0:
-        raise ConvergenceError(
-            f"contraction test failed: spectral radius product {r1 * r2:.3e} >= 1"
-        )
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return np.zeros_like(h)
-    s = np.sqrt(r2 / r1) if r1 > 0.0 and r2 > 0.0 else 1.0
     a = h.copy()
-    m = s * phi1
-    p = phi2 / s
-    for _ in range(maxiter):
+    m = phi1
+    p = phi2
+    for k in range(maxiter + 1):
         resid = float(np.linalg.norm(phi1 @ a @ phi2.T - a + h))
         if resid <= tol * hnorm:
             return a
+        # a NaN residual fails this test too
+        if k == maxiter or not resid <= hnorm / np.finfo(float).eps:
+            break
         a = a + m @ a @ p.T
         m = m @ m
         p = p @ p
-    resid = float(np.linalg.norm(phi1 @ a @ phi2.T - a + h))
-    if resid <= tol * hnorm:
-        return a
+        mnorm = float(np.linalg.norm(m))
+        pnorm = float(np.linalg.norm(p))
+        if 0.0 < mnorm < np.inf and 0.0 < pnorm < np.inf:
+            e = round(0.5 * (math.log2(pnorm) - math.log2(mnorm)))
+            m = np.ldexp(m, e)
+            p = np.ldexp(p, -e)
     raise ConvergenceError(
         f"stein iteration stalled at relative residual {resid / hnorm:.3e} "
-        f"after {maxiter} doublings"
+        f"after {k} doublings"
     )
 
 

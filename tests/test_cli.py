@@ -246,8 +246,8 @@ def test_solve_reports_stein_fallback(capsys, tmp_path):
         capsys, "--case", "eq1", "--n1", "4", "--n2", "4", "--solver", "stein"
     )
     assert report["solver"] == "gmres-sk"
-    # contraction products 0.96 (Gauss) and 1.04 (companion): only the
-    # companion solve falls back
+    # spectral radius products 0.96 (Gauss) and 1.04 (companion): only the
+    # companion iteration diverges and falls back
     prob = {
         "kernel_pair": ["exp-sum", "product"], "rhs": "exp-sin",
         "mult": 0.414, "n1": 2, "n2": 2,
@@ -256,6 +256,21 @@ def test_solve_reports_stein_fallback(capsys, tmp_path):
     path.write_text(json.dumps(prob))
     report = _solve_report(capsys, "--problem", str(path), "--solver", "stein")
     assert report["solver"] == "stein/gmres-sk"
+
+
+@pytest.mark.parametrize("solver", ["lu", "gmres-sk"])
+def test_solve_singular_system_exits_3(capsys, tmp_path, solver):
+    # one Gauss node at 0 with weight 2 per axis: I - Phi is exactly 0
+    prob = {
+        "kernel_pair": ["exp-sum", "exp-sum"], "rhs": "exp-sin",
+        "mult": 0.25, "n1": 1, "n2": 1,
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    code, out, err = _run(capsys, "solve", "--problem", str(path), "--solver", solver)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("squarequad: numeric failure:")
 
 
 def test_solve_problem_file(capsys, tmp_path):

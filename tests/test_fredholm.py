@@ -157,7 +157,7 @@ def test_solver_backends_agree():
 
 
 def test_stein_falls_back_to_gmres_sk():
-    # eq1's factors fail the contraction test, so stein hands over to gmres-sk
+    # eq1's Stein iteration diverges, so stein hands over to gmres-sk
     prob = get_case("eq1").problem()
     sol = solve_nystrom(prob, 4, 4, solver="stein")
     direct = solve_nystrom(prob, 4, 4, solver="gmres-sk")

@@ -107,6 +107,33 @@ def test_stein_rejects_divergent_factors():
         stein_solve(phi, phi, np.array([[1.0]]))
 
 
+_JORDAN_99 = np.array([[0.99, 1.0], [0.0, 0.99]])
+_JORDAN_90 = np.array([[0.9, 1.0], [0.0, 0.9]])
+
+
+@pytest.mark.parametrize(
+    "phi1,phi2",
+    [
+        # spectral radius product 0.98: the residual grows 500-fold over
+        # seven doublings, then converges in four more
+        (_JORDAN_99, _JORDAN_99),
+        # the residual grows over the first three doublings
+        (_JORDAN_90, _JORDAN_90),
+        # radii 3.998 and 0.25, 16 doublings: a scale fixed from the 1-norms
+        # leaves Phi2 / s a radius of 5.05, whose powers overflow
+        (np.array([[3.998, 100.0], [0.0, 2.0]]), np.array([[0.25]])),
+    ],
+    ids=["jordan-0.99", "jordan-0.9", "radii-3.998-0.25"],
+)
+def test_stein_non_normal_factors(phi1, phi2):
+    h = np.eye(phi1.shape[0], phi2.shape[0])
+    want = np.linalg.solve(np.eye(h.size) - np.kron(phi2, phi1), unfold(h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = unfold(stein_solve(phi1, phi2, h))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @given(n1=st.integers(2, 6), n2=st.integers(2, 9), seed=st.integers(0, 2**31))
 @settings(max_examples=40)
 def test_realizations_agree(n1, n2, seed):
