@@ -83,9 +83,11 @@ class FredholmProblem:
 
     The kernel enters either as a single callable k(x1, x2, y1, y2) with
     the integration point first, or as a separable pair (k1, k2) of axis
-    factors k_l(x, y); exactly one of the two.  ``mult`` scales the
-    integral operator.  The boundary weight must be admissible for the
-    quadrature weight: gamma_l < alpha_l + 1 and delta_l < beta_l + 1.
+    factors k_l(x, y); exactly one of the two.  Like the kernel, ``rhs``
+    must broadcast its arguments: a separable system evaluates it on the
+    outer grid of the axis nodes.  ``mult`` scales the integral operator.
+    The boundary weight must be admissible for the quadrature weight:
+    gamma_l < alpha_l + 1 and delta_l < beta_l + 1.
     """
 
     w1: JacobiWeight
@@ -146,11 +148,18 @@ def _axis_weight_values(problem, rule):
 
 
 def _rhs_values(problem, y1, y2) -> np.ndarray:
-    """g at the flat points (y1, y2); EvaluationError names a non-finite one."""
-    vals = np.broadcast_to(np.asarray(problem.rhs(y1, y2), dtype=float), y1.shape)
+    """g at the points (y1, y2), broadcast together.
+
+    EvaluationError names the first non-finite value in C order, which is
+    the flat order of the rule grid for flat points and for the transposed
+    grid y1[None, :], y2[:, None].
+    """
+    shape = np.broadcast_shapes(y1.shape, y2.shape)
+    vals = np.broadcast_to(np.asarray(problem.rhs(y1, y2), dtype=float), shape)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        i = int(np.argmax(bad))
+        y1, y2 = np.broadcast_arrays(y1, y2)
+        i = np.unravel_index(int(np.argmax(bad)), shape)
         raise EvaluationError(
             f"right-hand side not finite at ({y1[i]:.17g}, {y2[i]:.17g})",
             node=(y1[i], y2[i]),
@@ -205,16 +214,14 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
         raise ValueError("separable realization needs a kernel pair")
 
     u1, u2 = _axis_weight_values(problem, rule)
-    uflat = np.tile(u1, u2.size) * np.repeat(u2, u1.size)
-    dflat = rule.weights / uflat
-
-    h = _rhs_values(problem, rule.nodes1, rule.nodes2) * uflat
-
     n1 = rule.rule1.npoints
     n2 = rule.rule2.npoints
 
     if realization == "separable":
+        # the rule's factors only: g u on the transposed grid, whose C order
+        # is the flat order (axis 1 fastest), so h is a view of it
         x1, x2 = rule.rule1.nodes, rule.rule2.nodes
+        h = (_rhs_values(problem, x1[None, :], x2[:, None]) * np.multiply.outer(u2, u1)).ravel()
         K1 = _axis_block(problem, 1, x1, x1)
         K2 = _axis_block(problem, 2, x2, x2)
         phi1 = problem.mult * rule.rule1.weights[None, :] * (u1[:, None] / u1[None, :]) * K1
@@ -222,7 +229,10 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
         op = SystemOperator("separable", n1, n2, phi1=phi1, phi2=phi2)
         return op, h
 
+    uflat = np.tile(u1, n2) * np.repeat(u2, n1)
+    dflat = rule.weights / uflat
     x1f, x2f = rule.nodes1, rule.nodes2
+    h = _rhs_values(problem, x1f, x2f) * uflat
     N = n1 * n2
 
     def entries(rows, cols):
@@ -348,6 +358,8 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     for the plain value where u vanishes is a domain error, while the
     weighted value extends continuously to the whole closed square.  A
     kernel value that is not finite raises AssemblyError, as in assembly.
+    A separable solution is summed from the rule's 1D factors and its
+    coefficients on the n1 x n2 grid, without the rule's flat arrays.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -361,18 +373,22 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     uy = prob.u.eval(y1f, y2f)
     gy = _rhs_values(prob, y1f, y2f)
 
-    da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
     acc = np.empty(y1f.size)
     if prob.separable:
         # axis-factored sum keeps memory linear in the rule size
         z1, z2 = rule.rule1.nodes, rule.rule2.nodes
-        D = fold(da, z1.size, z2.size)
+        u1, u2 = _axis_weight_values(prob, rule)
+        # D = (lambda / u) a on the grid, Fortran-ordered like fold(a): the
+        # gemm below rounds its last row block by the layout of D
+        lam = np.multiply.outer(rule.rule2.weights, rule.rule1.weights).T
+        D = lam / np.multiply.outer(u2, u1).T * fold(sol.coeffs, z1.size, z2.size)
         # a block holds rows of A1 and A2 plus kernel temporaries of equal width
         for lo, hi in row_blocks(y1f.size, 2 * (z1.size + z2.size)):
             A1 = _axis_block(prob, 1, z1, y1f[lo:hi])
             A2 = _axis_block(prob, 2, z2, y2f[lo:hi])
             acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
     else:
+        da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
         for lo, hi in row_blocks(y1f.size, rule.npoints):
             kb = prob.kernel_values(
                 rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]

@@ -319,7 +319,9 @@ def stein_solve(phi1, phi2, h, tol: float = 1e-13, maxiter: int = 200):
     underflows.  The iteration's own Frobenius residual decides the rest:
     it returns A once the residual drops below tol * ||H||_F, and raises
     ConvergenceError once the residual exceeds ||H||_F / eps, where no
-    digit of A is left, or after ``maxiter`` doublings.
+    digit of A is left, or after ``maxiter`` doublings.  It also raises
+    as soon as A is final above the target: a doubling left A bit for bit
+    unchanged while ||M||_F ||P||_F < 1, so no later increment is larger.
     """
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
@@ -334,14 +336,21 @@ def stein_solve(phi1, phi2, h, tol: float = 1e-13, maxiter: int = 200):
     a = h.copy()
     m = phi1
     p = phi2
+    final = False
     for k in range(maxiter + 1):
         resid = float(np.linalg.norm(phi1 @ a @ phi2.T - a + h))
         if resid <= tol * hnorm:
             return a
         # a NaN residual fails this test too
-        if k == maxiter or not resid <= hnorm / np.finfo(float).eps:
+        if final or k == maxiter or not resid <= hnorm / np.finfo(float).eps:
             break
-        a = a + m @ a @ p.T
+        step = a + m @ a @ p.T
+        # A is final when a doubling leaves it unchanged and no later
+        # increment can be larger than this one
+        final = np.array_equal(step, a) and (
+            float(np.linalg.norm(m)) * float(np.linalg.norm(p)) < 1.0
+        )
+        a = step
         m = m @ m
         p = p @ p
         mnorm = float(np.linalg.norm(m))

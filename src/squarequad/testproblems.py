@@ -624,7 +624,10 @@ def _ref_grid(case) -> np.ndarray:
 
 
 def _xi_values(gauss_sol, anti_sol, ref) -> dict:
-    """Relative lattice errors xi_g, xi_a, xi_avg of two solutions and their mean."""
+    """Relative lattice errors xi_g, xi_a, xi_avg of two solutions and their mean.
+
+    Either solution may be given as its values on the lattice.
+    """
     vg, va = _lattice_values(gauss_sol), _lattice_values(anti_sol)
     return {
         "xi_g": relative_error(vg, ref),
@@ -642,9 +645,13 @@ _METRIC_ORDER = (
 def _row_values(case, size, wanted, solver) -> dict:
     """A table row's ``wanted`` metrics from one rule pair or one solution pair.
 
-    Each solution is built at most once and lives only for this row.  No
-    anti-Gauss solve or condition number is computed unless a wanted
-    metric reads it; rows without a kappa column never densify their system.
+    The rule kinds are solved one at a time, each at most once and the
+    companion first: a solution lives only until its lattice values,
+    iteration count and condition number are read, and is dropped before
+    the next kind is solved.  No anti-Gauss solve or condition number is
+    computed unless a wanted metric reads it, and a cached condition
+    number needs no solve; rows without a kappa column never densify
+    their system.
     """
     n1, n2 = size
     if case.kind == "cubature":
@@ -655,26 +662,32 @@ def _row_values(case, size, wanted, solver) -> dict:
         ref = _ref_integral(case)
         return {"r_g": ref - g, "r_a": ref - a, "r_avg": ref - 0.5 * (g + a), "r_est": 0.5 * (a - g)}
 
-    @cache
-    def sol(kind):
-        return solve_nystrom(
-            case.problem(), n1, n2, rulekind=kind, solver=solver,
+    xi = not wanted.isdisjoint(("xi_g", "xi_a", "xi_avg"))
+    values, lattice = {}, {}
+
+    def read(kind, kappa_key):
+        # the solution is built on first need and dies when this returns
+        sol = cache(partial(
+            solve_nystrom, case.problem(), n1, n2, rulekind=kind, solver=solver,
             allow_uncontained=case.allow_uncontained,
-        )
+        ))
+        if xi:
+            lattice[kind] = _lattice_values(sol())
+        if kappa_key in wanted:
+            values[kappa_key] = float(_cached(
+                case.id, f"{kappa_key}_{n1}_{n2}",
+                lambda: condition_number_inf(sol(), cap=max(4096, sol().op.N)),
+            ))
+        if kind == "gauss" and "iters" in wanted:
+            iters = sol().iterations
+            values["iters"] = float(-1 if iters is None else iters)
 
-    def kappa(kind):
-        s = sol(kind)
-        return condition_number_inf(s, cap=max(4096, s.op.N))
-
-    values = {}
-    if not wanted.isdisjoint(("xi_g", "xi_a", "xi_avg")):
-        values.update(_xi_values(sol("gauss"), sol("antigauss"), _ref_grid(case)))
-    for key, kind in (("kappa_g", "gauss"), ("kappa_a", "antigauss")):
-        if key in wanted:
-            values[key] = float(_cached(case.id, f"{key}_{n1}_{n2}", partial(kappa, kind)))
-    if "iters" in wanted:
-        iters = sol("gauss").iterations
-        values["iters"] = float(-1 if iters is None else iters)
+    # the companion system, one point larger per axis, first: a lattice
+    # evaluation leaves its row blocks in the heap, under the next assembly
+    read("antigauss", "kappa_a")
+    read("gauss", "kappa_g")
+    if xi:
+        values.update(_xi_values(lattice["gauss"], lattice["antigauss"], _ref_grid(case)))
     return values
 
 

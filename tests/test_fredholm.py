@@ -469,6 +469,34 @@ def test_separable_assembly_names_the_nonfinite_factor_entry():
     assert exc.value.node[0] == 2
 
 
+@pytest.mark.parametrize("realization", ["separable", "dense"])
+def test_assembly_names_the_first_nonfinite_rhs_node(realization):
+    # two bad nodes whose order with axis 1 fastest, (3, 1) before (1, 2),
+    # differs from their row-major order on the n1 x n2 grid
+    base = get_case("eq3").problem()
+    rule = sq.gauss_cubature(base.w1, base.w2, 5, 4)
+    x1, x2 = rule.rule1.nodes, rule.rule2.nodes
+
+    def rhs(y1, y2):
+        bad = ((y1 == x1[3]) & (y2 == x2[1])) | ((y1 == x1[1]) & (y2 == x2[2]))
+        return np.where(bad, np.nan, base.rhs(y1, y2))
+
+    prob = FredholmProblem(
+        base.w1, base.w2, base.u, rhs, kernel_pair=base.kernel_pair, mult=base.mult
+    )
+    with pytest.raises(sq.EvaluationError, match="right-hand side") as exc:
+        sq.assemble_system(prob, rule, realization=realization)
+    assert exc.value.node == (x1[3], x2[1])
+
+
+@pytest.mark.parametrize("solver", ["gmres-sk", "stein"])
+def test_separable_solve_builds_no_flat_rule_arrays(solver):
+    sol = solve_nystrom(get_case("eq3").problem(), 16, 16, solver=solver)
+    sol.eval(0.1, 0.2)
+    assert sol.solver == solver
+    assert "_flat" not in sol.rule.__dict__
+
+
 def test_assembly_needs_a_known_realization():
     prob = get_case("eq3").problem()
     rule = sq.gauss_cubature(prob.w1, prob.w2, 3, 3)

@@ -1,5 +1,6 @@
 """Dense/Krylov solvers, fold/unfold, Stein path."""
 
+import re
 import warnings
 
 import numpy as np
@@ -132,6 +133,18 @@ def test_stein_non_normal_factors(phi1, phi2):
         warnings.simplefilter("error", RuntimeWarning)
         got = unfold(stein_solve(phi1, phi2, h))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "h", [np.ones((2, 2)), np.arange(1.0, 5.0).reshape(2, 2)], ids=["ones", "arange"]
+)
+def test_stein_stops_once_the_iterate_is_final(h):
+    # A stops changing after 12 doublings, while the rounding floor of its
+    # residual stays above the default tol
+    with pytest.raises(ConvergenceError, match="stalled") as exc:
+        stein_solve(_JORDAN_99, _JORDAN_99, h)
+    doublings = int(re.search(r"after (\d+) doublings", str(exc.value)).group(1))
+    assert doublings <= 14
 
 
 @given(n1=st.integers(2, 6), n2=st.integers(2, 9), seed=st.integers(0, 2**31))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from functools import partial
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from squarequad import testproblems as tp
-from squarequad.cubature import CubatureRule2D
+from squarequad.cubature import CubatureRule2D, antigauss_cubature, gauss_cubature
 from squarequad.fredholm import _lattice_values, solve_nystrom
 from squarequad.testproblems import Expected, check_value, get_case, run_case
 
@@ -175,6 +176,52 @@ def test_row_solutions_do_not_outlive_the_row(monkeypatch):
     run_case("eq1", sizes=[(2, 2)])
     assert len(refs) == 2
     assert all(ref() is None for ref in refs)
+
+
+def test_row_drops_each_solution_before_the_next_solve(monkeypatch):
+    alive_at_solve = []
+    refs = []
+    solve = tp.solve_nystrom
+
+    def spy(*args, **kwargs):
+        alive_at_solve.append(sum(ref() is not None for ref in refs))
+        sol = solve(*args, **kwargs)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(tp, "solve_nystrom", spy)
+    run_case("eq1", sizes=[(2, 2)])
+    assert alive_at_solve == [0, 0]
+
+
+def test_cached_kappa_needs_no_solve(monkeypatch):
+    tp.clear_memo()
+    run_case("eq1", sizes=[(2, 2)], metrics=["kappa_g", "kappa_a"])
+    kinds = _count_solves(monkeypatch)
+    report = run_case("eq1", sizes=[(2, 2)], metrics=["kappa_g", "kappa_a"])
+    assert kinds == []
+    assert [r.metric for r in report.rows] == ["kappa_g", "kappa_a"]
+
+
+@pytest.mark.parametrize("solver", ["gmres-sk", "stein"])
+def test_separable_row_peak_memory(solver):
+    # one solution of N = 129**2 unknowns alive at a time, and neither the
+    # rule's flat arrays nor flat weight temporaries: 21.0 and 17.5 x 8N
+    # bytes when both solutions and the flat arrays were alive
+    case = get_case("eq3")
+    n = 128
+    # QL under tracemalloc is slow: the rules and the reference lattice
+    # are built outside the traced region
+    gauss_cubature(case.w1, case.w2, n, n)
+    antigauss_cubature(case.w1, case.w2, n, n)
+    tp._ref_grid(case)
+    tracemalloc.start()
+    try:
+        run_case("eq3", sizes=[(n, n)], solver=solver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (n + 1) ** 2
 
 
 def test_iteration_row_skips_the_antigauss_solve(monkeypatch):
