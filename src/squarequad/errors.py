@@ -25,7 +25,8 @@ class EvaluationError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    """A vanishing space weight, or a non-finite kernel value in assembly or interpolation."""
+    """A vanishing space weight, a non-finite kernel value in assembly or
+    interpolation, or a kernel that differs from its declared degenerate form."""
 
     def __init__(self, message, *, node=None):
         super().__init__(message)

@@ -11,6 +11,7 @@ integral, and their average then halves the attainable error bound.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,25 @@ __all__ = [
 # dense matrix, whether requested or as the fallback when no factors verify
 _ACA_RANK_CAP = 64
 _DENSE_LIMIT = 5000
+
+# a declared degenerate kernel is checked on this many fixed-seed collocation
+# rows of K, each against U V^T within _CHECK_RTOL of the larger of max |K|
+# and max |U| |V|^T on those rows
+_CHECK_ROWS = 4
+_CHECK_SEED = 20001
+_CHECK_RTOL = 64 * np.finfo(float).eps
+
+
+def _lagrange_basis(t, x):
+    """l_p(x) of the Lagrange basis on the nodes t, shape (len(x), len(t))."""
+    d = np.asarray(x, dtype=float).reshape(1, -1) - t[:, None]
+    # prod_{q != p} (x - t_q) from prefix and suffix products of the rows of d
+    ones = np.ones_like(d[:1])
+    left = np.cumprod(np.vstack([ones, d[:-1]]), axis=0)
+    right = np.cumprod(np.vstack([ones, d[:0:-1]]), axis=0)[::-1]
+    diff = t[:, None] - t
+    np.fill_diagonal(diff, 1.0)
+    return (left * right / np.prod(diff, axis=1)[:, None]).T
 
 
 def _powfac(base, expo):
@@ -88,6 +108,11 @@ class FredholmProblem:
     outer grid of the axis nodes.  ``mult`` scales the integral operator.
     The boundary weight must be admissible for the quadrature weight:
     gamma_l < alpha_l + 1 and delta_l < beta_l + 1.
+
+    A single kernel may declare itself degenerate in y through an attribute
+    ``y_nodes = (t1, t2)``, two 1-d arrays of distinct nodes: it then equals
+    its Lagrange interpolant on t1 x t2 in the point y, and assembly and
+    interpolation use those exact factors instead of cross approximation.
     """
 
     w1: JacobiWeight
@@ -115,10 +140,22 @@ class FredholmProblem:
                     f"space weight not admissible: need {uname} < {wname} + 1, "
                     f"got {uname}={uval} against {wname}={wval}"
                 )
+        nodes = self.kernel_nodes
+        if nodes is not None and not (len(nodes) == 2 and all(
+            t.ndim == 1 and t.size and np.all(np.isfinite(t)) and len(set(t.tolist())) == t.size
+            for t in nodes
+        )):
+            raise ValueError("kernel y_nodes must be two 1-d arrays of distinct finite nodes")
 
     @property
     def separable(self) -> bool:
         return bool(self.kernel_pair)
+
+    @property
+    def kernel_nodes(self):
+        """The y-interpolation nodes (t1, t2) the kernel declares, or None."""
+        nodes = getattr(self.kernel, "y_nodes", None)
+        return None if nodes is None else tuple(np.asarray(t, dtype=float) for t in nodes)
 
     def kernel_values(self, x1, x2, y1, y2) -> np.ndarray:
         """Kernel including the multiplier; integration point first."""
@@ -193,18 +230,67 @@ def _axis_block(problem, axis: int, x, y) -> np.ndarray:
     return vals
 
 
+def _declared_basis(problem, y1, y2) -> np.ndarray:
+    """l_p(y1) l_q(y2) on the kernel's declared nodes, column pq = p len(t2) + q."""
+    t1, t2 = problem.kernel_nodes
+    l1, l2 = _lagrange_basis(t1, y1), _lagrange_basis(t2, y2)
+    return (l1[:, :, None] * l2[:, None, :]).reshape(l1.shape[0], -1)
+
+
+def _declared_values(problem, x1, x2) -> np.ndarray:
+    """Checked kernel block mult k(x_j; (t1_p, t2_q)), row pq, at the declared nodes."""
+    t1, t2 = problem.kernel_nodes
+    return _kernel_block(problem, x1, x2, np.repeat(t1, t2.size), np.tile(t2, t1.size))
+
+
+def _declared_factors(problem, x1, x2):
+    """Exact factors K = U V^T on the flat grid (x1, x2) of a declared kernel.
+
+    U[i, pq] = l_p(x1_i) l_q(x2_i) and V[j, pq] = mult k(x_j; (t1_p, t2_q)).
+    The declaration is trusted only after a check: _CHECK_ROWS fixed-seed
+    collocation rows of K, N kernel values each, must match U V^T to the
+    rounding level, or AssemblyError names the worst entry.
+    """
+    U = _declared_basis(problem, x1, x2)
+    V = _declared_values(problem, x1, x2).T
+    N = x1.size
+    # the standard library's generator: numpy.random costs 11 ms to import
+    rows = np.array(sorted(random.Random(_CHECK_SEED).sample(range(N), min(_CHECK_ROWS, N))))
+    K = _kernel_block(problem, x1, x2, x1[rows], x2[rows])
+    Ur = U[rows]
+    err = np.abs(K - Ur @ V.T)
+    scale = max(float(np.max(np.abs(K))), float(np.max(np.abs(Ur) @ np.abs(V).T)))
+    r, c = np.unravel_index(int(np.argmax(err)), err.shape)
+    # a NaN error fails this test too
+    if not err[r, c] <= _CHECK_RTOL * scale:
+        raise AssemblyError(
+            f"kernel differs from its interpolant on the declared y nodes by {err[r, c]:.3e} "
+            f"at integration node ({x1[c]:.17g}, {x2[c]:.17g}), point "
+            f"({x1[rows[r]]:.17g}, {x2[rows[r]]:.17g}); bound {_CHECK_RTOL * scale:.3e}",
+            node=(x1[c], x2[c]),
+        )
+    return U, V
+
+
 def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization: str):
     """Collocation system (I - Phi) a = (g u)(nodes) on the rule's grid.
 
     Returns (operator, rhs).  ``realization`` picks the operator storage:
     ``separable`` (needs a kernel pair), ``factored`` or ``dense``.
 
-    ``factored`` builds cross factors K ~= U V^T with ``linsolve.aca``,
-    verified in one blocked sweep over every row of K.  When no factors of
-    rank <= min(64, N / 2) pass, the system falls back to ``dense``.  A
-    dense system above 5000 unknowns, requested or as the fallback, raises
-    CapacityError before the matrix is allocated.  A non-finite kernel
-    value raises AssemblyError naming its integration node.
+    A kernel that declares its y nodes (``FredholmProblem``) has exact
+    factors K = U V^T of rank P = len(t1) len(t2): U holds the Lagrange
+    basis at the collocation points and V the kernel at the P node pairs.
+    Every non-separable realization checks that declaration first, on a
+    few fixed-seed rows of K, and raises AssemblyError where it fails;
+    between those rows it is trusted.  ``factored`` stores these factors
+    from (P + 4) N kernel values.  An undeclared kernel gets cross factors
+    K ~= U V^T from ``linsolve.aca``, verified in one blocked sweep over
+    every row of K; when no factors of rank <= min(64, N / 2) pass, the
+    system falls back to ``dense``.  A dense system above 5000 unknowns,
+    requested or as the fallback, raises CapacityError before the matrix
+    is allocated.  A non-finite kernel value raises AssemblyError naming
+    its integration node.
     """
     if rule.kind not in ("gauss", "antigauss"):
         raise ValueError(f"assembly needs a tensor rule, got kind {rule.kind!r}")
@@ -253,13 +339,14 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
         np.fill_diagonal(F, diag)
         return SystemOperator("dense", n1, n2, dense=F)
 
+    factors = None if problem.kernel_nodes is None else _declared_factors(problem, x1f, x2f)
     if realization == "dense":
         return dense(), h
-    rmax = min(_ACA_RANK_CAP, N // 2)
-    factors = linsolve.aca(entries, N, rmax)
-    if factors is not None:
-        return SystemOperator("factored", n1, n2, u=uflat, d=dflat, factors=factors), h
-    return dense(), h
+    if factors is None:
+        factors = linsolve.aca(entries, N, min(_ACA_RANK_CAP, N // 2))
+        if factors is None:
+            return dense(), h
+    return SystemOperator("factored", n1, n2, u=uflat, d=dflat, factors=factors), h
 
 
 class NystromSolution:
@@ -359,7 +446,12 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     weighted value extends continuously to the whole closed square.  A
     kernel value that is not finite raises AssemblyError, as in assembly.
     A separable solution is summed from the rule's 1D factors and its
-    coefficients on the n1 x n2 grid, without the rule's flat arrays.
+    coefficients on the n1 x n2 grid, without the rule's flat arrays.  A
+    kernel that declares its y nodes, whatever the realization, is summed
+    in its degenerate form: c_pq = sum_j k(x_j; t_pq) (lambda / u)_j a_j
+    from P N kernel values, then sum_pq l_p(y1) l_q(y2) c_pq at the points.
+    Only an undeclared kernel is evaluated at every (point, node) pair, in
+    row blocks.  Every non-separable sum runs in one fixed order.
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -387,6 +479,11 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
             A1 = _axis_block(prob, 1, z1, y1f[lo:hi])
             A2 = _axis_block(prob, 2, z2, y2f[lo:hi])
             acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
+    elif prob.kernel_nodes is not None:
+        da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
+        # einsum adds in one fixed order; BLAS would round by the thread count
+        c = np.einsum("ij,j->i", _declared_values(prob, rule.nodes1, rule.nodes2), da)
+        acc = np.einsum("ij,j->i", _declared_basis(prob, y1f, y2f), c)
     else:
         da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
         for lo, hi in row_blocks(y1f.size, rule.npoints):

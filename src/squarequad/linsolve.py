@@ -2,10 +2,12 @@
 
 The discrete operator is I - Phi acting on vectors indexed by the tensor
 grid, with axis 1 running fastest.  Three realizations trade memory for
-structure: a dense matrix, a factored form diag(u) U V^T diag(d) whose
-rank-r kernel factors come from adaptive cross approximation (``aca``),
-and a separable form holding one small matrix per axis.  A matvec-only
-GMRES and a squared-iteration Stein solver consume them.
+structure: a dense matrix, a factored form diag(u) U V^T diag(d) with
+rank-r kernel factors, and a separable form holding one small matrix per
+axis.  The kernel factors are exact for a kernel that declares its
+y-interpolation nodes (``fredholm`` builds those from the declaration);
+any other kernel gets them from adaptive cross approximation (``aca``).
+A matvec-only GMRES and a squared-iteration Stein solver consume them.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class SystemOperator:
 
     - ``dense``: full matrix F, matvec costs 2 N^2 flops;
     - ``factored``: diag(u) U V^T diag(d) with rank-r kernel factors
-      K ~= U V^T (see ``aca``), 4 N r + 3 N flops;
+      K ~= U V^T, declared or from ``aca``, 4 N r + 3 N flops;
     - ``separable``: Phi = kron(Phi2, Phi1), 2 N (n1 + n2) + N flops.
 
     ``flops`` accumulates the cost of every matvec issued; ``rank`` is r

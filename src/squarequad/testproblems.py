@@ -30,6 +30,7 @@ from .cubature import antigauss_cubature, gauss_cubature
 from .fredholm import (
     FredholmProblem,
     SpaceWeight,
+    _lagrange_basis,
     _lattice_values,
     condition_number_inf,
     relative_error,
@@ -101,6 +102,10 @@ def _k_sin_affine(x1, x2, y1, y2):
     return np.sin(np.asarray(x2, dtype=float) + x1) * (1.0 + np.asarray(x1) + y2)
 
 
+# constant in y1 and affine in y2, so these nodes interpolate it exactly
+_k_sin_affine.y_nodes = (np.array([0.0]), np.array([0.0, 1.0]))
+
+
 # rhs g so that the solution of the first equation case is cos(x1 + x2)
 _COS_SUM_DRIFT = (math.cos(2.0) + math.e**2 * (math.sin(2.0) - 1.0)) / math.e
 
@@ -144,31 +149,15 @@ def _f_one(x1, x2):
 
 # ------------------------------------- degenerate-kernel eq2, eq3 and eq4
 
-def _lagrange_basis(t, x):
-    """l_p(x) of the Lagrange basis on the nodes t, shape (len(x), len(t))."""
-    d = np.asarray(x, dtype=float).reshape(1, -1) - t[:, None]
-    # prod_{q != p} (x - t_q) from prefix and suffix products of the rows of d
-    ones = np.ones_like(d[:1])
-    left = np.cumprod(np.vstack([ones, d[:-1]]), axis=0)
-    right = np.cumprod(np.vstack([ones, d[:0:-1]]), axis=0)[::-1]
-    diff = t[:, None] - t
-    np.fill_diagonal(diff, 1.0)
-    return (left * right / np.prod(diff, axis=1)[:, None]).T
-
-
-# eq2's and eq4's kernels are constant in y1 and affine in y2, so these
-# nodes interpolate them exactly
-_RANK2_NODES = (np.array([0.0]), np.array([0.0, 1.0]))
-
-
 def _eq2_moment_points(case):
+    # the nodes are the ones eq2's kernel declares for the solver
     r1, r2 = gauss_rule(case.w1, 32), gauss_rule(case.w2, 32)
     # w1 times the rhs factor sin(sqrt(1 - y1)) is the weight (1, 1/2) times
     # an entire function, so the rhs moments run on that lifted rule
     lift = gauss_rule(JacobiWeight(1.0, 0.5), 32)
     lifted = lift.weights / np.sqrt(1.0 - lift.nodes)
     on_a = (r1.nodes, r1.weights, r2.nodes, r2.weights)
-    return _RANK2_NODES, on_a, (lift.nodes, lifted, r2.nodes, r2.weights)
+    return KERNELS_2D[case.kernel_id].y_nodes, on_a, (lift.nodes, lifted, r2.nodes, r2.weights)
 
 
 # Chebyshev nodes per axis and Gauss points per moment rule for eq3; the
@@ -194,6 +183,11 @@ def _eq3_moment_points(case, r=_EQ3_NODES, n=_EQ3_POINTS):
     return (t, t), (r1.nodes, r1.weights, r2.nodes, r2.weights), on_b
 
 
+# eq4's kernel pair is constant in y1 and affine in y2, so these nodes
+# interpolate it exactly
+_EQ4_NODES = (np.array([0.0]), np.array([0.0, 1.0]))
+
+
 def _eq4_moment_points(case):
     # |cos(1 + x1)|^{9/2} has a kink at x1 = pi/2 - 1: Legendre on each side,
     # with x1 = 1 - t^2 on the right absorbing w1's (1 - x1)^{-1/2}
@@ -207,7 +201,7 @@ def _eq4_moment_points(case):
     lam1 = np.concatenate([half * leg.weights / np.sqrt(1.0 - left), tmax * leg.weights])
     r2 = gauss_rule(case.w2, 32)
     points = (x1, lam1, r2.nodes, r2.weights)
-    return _RANK2_NODES, points, points
+    return _EQ4_NODES, points, points
 
 
 _MOMENT_POINTS = {"eq2": _eq2_moment_points, "eq3": _eq3_moment_points, "eq4": _eq4_moment_points}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,12 @@ def test_solve_brackets_against_the_xi_reference(capsys, case, n):
         ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
         ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
         ["solve", "--case", "eq3", "--n1", "256", "--n2", "256", "--out", "grid.csv"],
+        ["reproduce", "4"],
     ],
-    ids=["reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out", "solve-eq3-256-out"],
+    ids=[
+        "reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out", "solve-eq3-256-out",
+        "reproduce-4",
+    ],
 )
 def test_output_independent_of_blas_threads(tmp_path, argv):
     # each run gets its own cache: a shared one would serve the first run's
@@ -211,6 +216,45 @@ def test_output_independent_of_blas_threads(tmp_path, argv):
         written = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
         outs.append((proc.stdout, written))
     assert outs[0] == outs[1]
+
+
+def test_solve_keeps_one_solution_alive(tmp_path):
+    # each solution is dropped once its lattice values and kappa are read:
+    # the traced peak was 15.4 x 8N bytes with both solutions alive to the
+    # end of the report, N = 257**2
+    from squarequad import antigauss_cubature, gauss_cubature
+    from squarequad import testproblems as tp
+
+    case = tp.get_case("eq3")
+    n = 256
+    # QL under tracemalloc is slow: the rules and the reference lattice
+    # are built outside the traced region
+    gauss_cubature(case.w1, case.w2, n, n)
+    antigauss_cubature(case.w1, case.w2, n, n)
+    tp._ref_grid(case)
+    argv = ["solve", "--case", "eq3", "--n1", str(n), "--n2", str(n),
+            "--out", str(tmp_path / "grid.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 8 * (n + 1) ** 2
+
+
+def test_rule_above_the_size_cap_exits_3(capsys, monkeypatch):
+    import squarequad.rules as rules
+
+    def no_ql(*args):
+        raise AssertionError("QL started above the size cap")
+
+    monkeypatch.setattr(rules, "eig_tridiag", no_ql)
+    cap = rules._RULE_CAP
+    code, out, err = _run(capsys, "rule", "--n1", str(cap + 1), "--n2", "2")
+    assert code == 3
+    assert out == ""
+    assert f"{cap + 1} points exceeds the cap of {cap}" in err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

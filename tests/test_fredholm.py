@@ -7,6 +7,7 @@ or the cached reference solves, so they separate "library broke" from
 "stored value disagrees".
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,117 @@ def test_additive_kernel_stays_factored(rng):
     _assert_factored_matches_dense(prob, rule, 31, rng)
 
 
+# ---------------------------------------------------------------------------
+# kernels that declare their y-interpolation nodes
+
+
+def _with_nodes(kernel, t1, t2):
+    """The kernel as a new callable that declares the y nodes (t1, t2)."""
+
+    def declared(x1, x2, y1, y2):
+        return kernel(x1, x2, y1, y2)
+
+    declared.y_nodes = (np.array(t1, dtype=float), np.array(t2, dtype=float))
+    return declared
+
+
+def _undeclared(kernel):
+    """The kernel as a plain callable, which declares nothing."""
+    return lambda x1, x2, y1, y2: kernel(x1, x2, y1, y2)
+
+
+def _eq2_with_kernel(kernel):
+    base = get_case("eq2").problem()
+    return FredholmProblem(base.w1, base.w2, base.u, base.rhs, kernel=kernel, mult=base.mult)
+
+
+def _eq2_rule(n1, n2, rulekind):
+    case = get_case("eq2")
+    if rulekind == "gauss":
+        return sq.gauss_cubature(case.w1, case.w2, n1, n2)
+    return sq.antigauss_cubature(case.w1, case.w2, n1, n2, allow_uncontained=case.allow_uncontained)
+
+
+@pytest.mark.parametrize("solver", ["gmres-fm", "lu"])
+def test_misdeclared_kernel_raises_before_any_solve(solver, monkeypatch):
+    # sin(x1 + x2)(1 + x1 + y2) is affine in y2, so one node in y2 is too few
+    prob = _eq2_with_kernel(_with_nodes(get_case("eq2").problem().kernel, [0.0], [0.0]))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran on a wrongly declared kernel")
+
+    monkeypatch.setattr(sq.fredholm, "gmres", no_solve)
+    monkeypatch.setattr(sq.fredholm, "lu_solve", no_solve)
+    with pytest.raises(AssemblyError, match="declared y nodes") as exc:
+        solve_nystrom(prob, 16, 16, solver=solver)
+    assert exc.value.node is not None
+
+
+def test_malformed_declaration_rejected():
+    kernel = get_case("eq2").problem().kernel
+    for t1, t2 in (([0.0], [0.0, 0.0]), ([0.0], []), ([np.nan], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="y_nodes"):
+            _eq2_with_kernel(_with_nodes(kernel, t1, t2))
+
+
+def test_declared_kernel_never_calls_aca(monkeypatch):
+    def no_aca(*args, **kwargs):
+        raise AssertionError("cross approximation ran on a declared kernel")
+
+    monkeypatch.setattr(sq.linsolve, "aca", no_aca)
+    prob = get_case("eq2").problem()
+    for rulekind in ("gauss", "antigauss"):
+        sol = solve_nystrom(prob, 64, 16, rulekind=rulekind, solver="gmres-fm")
+        assert sol.op.realization == "factored"
+        assert sol.op.rank == 2
+        assert sol.iterations == 3
+
+
+def test_declared_lattice_sum_evaluates_the_kernel_at_the_node_pairs_only():
+    base = get_case("eq2").problem()
+    count = [0]
+
+    @functools.wraps(base.kernel)
+    def counting(*args):
+        out = base.kernel(*args)
+        count[0] += np.size(out)
+        return out
+
+    prob = _eq2_with_kernel(counting)
+    assert prob.kernel_nodes is not None
+    sol = solve_nystrom(prob, 64, 16, solver="gmres-fm")
+    N = sol.rule.npoints
+    count[0] = 0
+    sq.fredholm._lattice_values(sol)
+    # P N values for P = 2 node pairs, where an undeclared kernel takes 2500 N
+    assert count[0] == 2 * N
+
+
+@pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
+@pytest.mark.parametrize("size", [(16, 16), (64, 16)], ids=["16x16", "64x16"])
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "aca"])
+def test_eq2_factors_match_the_dense_matvec(declared, size, rulekind, rng):
+    base = get_case("eq2").problem()
+    prob = _eq2_with_kernel(base.kernel if declared else _undeclared(base.kernel))
+    assert (prob.kernel_nodes is not None) == declared
+    _assert_factored_matches_dense(prob, _eq2_rule(*size, rulekind), 2, rng)
+
+
+@pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
+def test_declared_lattice_sum_matches_the_pointwise_sum(rulekind):
+    # the same coefficients summed over every (point, node) pair, as for an
+    # undeclared kernel
+    base = get_case("eq2").problem()
+    sol = solve_nystrom(base, 64, 16, rulekind=rulekind)
+    plain = _eq2_with_kernel(_undeclared(base.kernel))
+    twin = sq.fredholm.NystromSolution(
+        plain, sol.rule, sol.rulekind, sol.solver, sol.coeffs, None, None
+    )
+    want = sq.fredholm._lattice_values(twin)
+    got = sq.fredholm._lattice_values(sol)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_high_rank_kernel_falls_back_to_dense(monkeypatch):
     case = get_case("eq2")
     base = case.problem()
@@ -404,6 +516,20 @@ def test_lattice_values_independent_of_the_row_block_size(rulekind, monkeypatch)
         got = interpolant_eval(sol, y1, y2, unweighted=False)[0]
         assert np.array_equal(got, want), rows
     assert default // sol.rule.npoints > 16
+
+
+def test_undeclared_lattice_values_independent_of_the_row_block_size(monkeypatch):
+    # the pointwise sum of an undeclared kernel adds each row in one order,
+    # whatever the rows per block
+    base = get_case("eq2").problem()
+    prob = _eq2_with_kernel(_undeclared(base.kernel))
+    sol = solve_nystrom(prob, 16, 16, solver="gmres-fm")
+    y1, y2 = _grid()
+    want = interpolant_eval(sol, y1, y2, unweighted=False)[0]
+    for rows in (1, 3, 7, 16):
+        monkeypatch.setattr(sq.linsolve, "_BLOCK_ENTRIES", rows * sol.rule.npoints)
+        got = interpolant_eval(sol, y1, y2, unweighted=False)[0]
+        assert np.array_equal(got, want), rows
 
 
 def test_separable_eval_matches_single_callable(rng):

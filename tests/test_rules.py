@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarequad import JacobiWeight, antigauss_rule, gauss_rule, nodes_contained, recurrence_coeffs
+from squarequad import (
+    CapacityError,
+    JacobiWeight,
+    antigauss_rule,
+    gauss_rule,
+    nodes_contained,
+    recurrence_coeffs,
+)
 
 from oracles import integral_poly, jacobi_b0, ql_numpy_scalars
 
@@ -111,6 +118,19 @@ def test_gauss_degree_exactness_vs_moment_oracle(n, seed):
     got = r.weights @ np.polynomial.polynomial.polyval(r.nodes, coef)
     scale = max(1.0, np.sum(np.abs(coef)))
     assert abs(got - exact) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("make", [gauss_rule, antigauss_rule])
+def test_rule_size_capped_before_the_eigensolver(make, monkeypatch):
+    import squarequad.rules as rules
+
+    def no_ql(*args):
+        raise AssertionError("QL started above the size cap")
+
+    monkeypatch.setattr(rules, "eig_tridiag", no_ql)
+    cap = rules._RULE_CAP
+    with pytest.raises(CapacityError, match=f"{cap + 1} points exceeds the cap of {cap}"):
+        make(JacobiWeight(0.25, -0.5), cap + 1)
 
 
 @pytest.mark.parametrize("make", [gauss_rule, antigauss_rule])
