@@ -30,14 +30,7 @@ import numpy as np
 
 from .cubature import antigauss_cubature, averaged_cubature, gauss_cubature
 from .errors import AssemblyError, CapacityError, ConvergenceError, EvaluationError
-from .fredholm import (
-    _LATTICE,
-    SpaceWeight,
-    _lattice_values,
-    bracketing_check,
-    condition_number_inf,
-    solve_nystrom,
-)
+from .fredholm import _LATTICE, SpaceWeight, bracketing_check, condition_number_inf
 from .orthopoly import JacobiWeight, _size
 from . import testproblems as tp
 
@@ -193,7 +186,13 @@ def _case_from_json(path: str, allow_uncontained: bool) -> tuple:
     return case, (doc.get("n1"), doc.get("n2"))
 
 
-def _kappa_or_skipped(sol):
+# the row values that solve reports, in report order
+_SOLVE_REPORT = ("solver", "iters", "xi_g", "xi_a", "xi_avg", "gap_half_rel", "kappa_g", "kappa_a")
+
+
+def _kappa_or_skipped(key, sol):
+    # solve's condition number policy: the library's cap, no disk cache
+    sol = sol()
     try:
         return condition_number_inf(sol)
     except CapacityError:
@@ -211,37 +210,21 @@ def cmd_solve(args) -> int:
     if n1 is None or n2 is None:
         raise ValueError("sizes required: pass --n1/--n2 or put n1/n2 in the file")
     n1, n2 = _size(n1, "n1"), _size(n2, "n2")
-    solver = args.solver or case.solver
-    allow = case.allow_uncontained
-
-    def read(kind):
-        # a solution lives only until its lattice values, kappa, solver name
-        # and iteration count are read
-        sol = solve_nystrom(prob, n1, n2, rulekind=kind, solver=solver,
-                            tol=args.tol, allow_uncontained=allow)
-        return _lattice_values(sol), _kappa_or_skipped(sol), sol.solver, sol.iterations
-
-    # the companion system, one point larger per axis, first, as in a table row
-    va, kappa_a, ran_a, _ = read("antigauss")
-    vg, kappa_g, ran_g, iters = read("gauss")
-
-    # the solvers that ran, which differ from the request after auto or a fallback
-    ran = ran_g if ran_g == ran_a else f"{ran_g}/{ran_a}"
-    report = {"n1": n1, "n2": n2, "solver": ran}
-    if iters is not None:
-        report["iters"] = iters
-
+    vals = tp._row_values(
+        case, (n1, n2), {"lattice", *_SOLVE_REPORT}, args.solver or case.solver,
+        _kappa_or_skipped, tol=args.tol,
+    )
+    vg, va = vals["lattice"]
     ref = tp._ref_grid(case)
-    if ref is not None:
-        report.update(tp._xi_values(vg, va, ref))
-    else:
-        # no reference: the half-gap bounds the averaged error when the
-        # interpolants bracket the solution
-        report["gap_half_rel"] = float(
+    if ref is None:
+        # no xi without a reference: the half-gap bounds the averaged error
+        # when the interpolants bracket the solution
+        vals["gap_half_rel"] = float(
             0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
         )
-    report["kappa_g"] = kappa_g
-    report["kappa_a"] = kappa_a
+    report = {"n1": n1, "n2": n2}
+    # iters is None after a direct solve; a row has either xi or the half-gap
+    report.update((k, vals[k]) for k in _SOLVE_REPORT if vals.get(k) is not None)
     br = bracketing_check(vg, va, ref=ref)
     report["fraction_between"] = "n/a" if br.fraction_between is None else br.fraction_between
     report["sign_changes"] = int(np.count_nonzero(np.diff(np.sign(br.sign))))

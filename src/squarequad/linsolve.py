@@ -13,6 +13,7 @@ A matvec-only GMRES and a squared-iteration Stein solver consume them.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ _ACA_TOL = 1e-15
 _PROBE_COLUMNS = 4
 _PROBE_SEED = 20000
 _PROBE_RTOL = 1e-12
+
+# bytes the GMRES basis may hold: unrestarted, it keeps one N-vector per
+# iteration, so maxiter = N would let it grow to 8 N**2 bytes
+_GMRES_BASIS_BYTES = 2**30
 
 
 def row_blocks(nrows: int, ncols: int):
@@ -203,7 +208,8 @@ def aca(entries, N: int, rmax: int):
     # (64,16) and (256,16) took 23 k minor faults with the copy, 183 k
     # without)
     U, V = U[:, :k].copy(), V[:, :k].copy()
-    Z = np.random.default_rng(_PROBE_SEED).standard_normal((N, _PROBE_COLUMNS))
+    rng = random.Random(_PROBE_SEED)  # numpy.random costs 11 ms to import
+    Z = np.array([rng.gauss(0.0, 1.0) for _ in range(N * _PROBE_COLUMNS)]).reshape(N, -1)
     KZ = np.empty((N, _PROBE_COLUMNS))
     for lo, hi in row_blocks(N, N):
         KZ[lo:hi] = entries(slice(lo, hi), slice(None)) @ Z
@@ -252,7 +258,8 @@ def gmres(op, b, tol: float = 1e-14, maxiter: int | None = None):
     Comput. Math. Appl. 50).  Every sum runs in one fixed order, whatever the
     BLAS thread count.  The residual history is the rotation-recurrence
     estimate, which never increases.  Returns (x, KrylovStats); raises
-    ConvergenceError, stats attached, if maxiter steps miss the target.
+    ConvergenceError, stats attached, if maxiter steps miss the target, and
+    CapacityError before the basis would outgrow _GMRES_BASIS_BYTES.
     """
     matvec = _as_matvec(op)
     b = np.asarray(b, dtype=float)
@@ -291,6 +298,11 @@ def gmres(op, b, tol: float = 1e-14, maxiter: int | None = None):
         residuals.append(abs(g[k + 1]))
         if residuals[-1] <= target or nw <= np.finfo(float).eps * beta:
             break
+        if 8 * N * (len(V) + 1) > _GMRES_BASIS_BYTES:
+            raise CapacityError(
+                f"gmres basis of {len(V) + 1} vectors of {N} entries exceeds {_GMRES_BASIS_BYTES} "
+                f"bytes after {k + 1} iterations with residual {residuals[-1]:.3e} (target {target:.3e})"
+            )
         V.append(w / nw)
     else:
         if residuals[-1] > target:

@@ -617,35 +617,27 @@ def _ref_grid(case) -> np.ndarray:
     return _memo[case.id, "exact_grid"]
 
 
-def _xi_values(gauss_sol, anti_sol, ref) -> dict:
-    """Relative lattice errors xi_g, xi_a, xi_avg of two solutions and their mean.
-
-    Either solution may be given as its values on the lattice.
-    """
-    vg, va = _lattice_values(gauss_sol), _lattice_values(anti_sol)
-    return {
-        "xi_g": relative_error(vg, ref),
-        "xi_a": relative_error(va, ref),
-        "xi_avg": relative_error(0.5 * (vg + va), ref),
-    }
-
-
 _METRIC_ORDER = (
     "r_g", "r_a", "r_avg", "r_est",
     "xi_g", "xi_a", "xi_avg", "kappa_g", "kappa_a", "iters",
 )
 
 
-def _row_values(case, size, wanted, solver) -> dict:
-    """A table row's ``wanted`` metrics from one rule pair or one solution pair.
+def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
+    """A row's ``wanted`` values from one rule pair or one solution pair.
+
+    The only code that solves an equation row, for the tables and for
+    ``squarequad solve``.  Besides the table metrics, ``wanted`` may name
+    "lattice", the Gauss and companion values on the comparison lattice,
+    and "solver", the solvers that ran ("gauss/companion" where they
+    differ).  ``iters`` is None after a direct solve, and there are no xi
+    without a known solution.  ``kappa(key, sol)`` is the caller's
+    condition number policy; ``sol()`` solves on first call, so a cached
+    condition number needs no solve.
 
     The rule kinds are solved one at a time, each at most once and the
-    companion first: a solution lives only until its lattice values,
-    iteration count and condition number are read, and is dropped before
-    the next kind is solved.  No anti-Gauss solve or condition number is
-    computed unless a wanted metric reads it, and a cached condition
-    number needs no solve; rows without a kappa column never densify
-    their system.
+    companion first: a solution lives only until what is wanted of it is
+    read.  No anti-Gauss solve runs unless a wanted value reads it.
     """
     n1, n2 = size
     if case.kind == "cubature":
@@ -656,33 +648,43 @@ def _row_values(case, size, wanted, solver) -> dict:
         ref = _ref_integral(case)
         return {"r_g": ref - g, "r_a": ref - a, "r_avg": ref - 0.5 * (g + a), "r_est": 0.5 * (a - g)}
 
-    xi = not wanted.isdisjoint(("xi_g", "xi_a", "xi_avg"))
+    on_lattice = "lattice" in wanted or not wanted.isdisjoint(("xi_g", "xi_a", "xi_avg"))
     values, lattice = {}, {}
 
     def read(kind, kappa_key):
         # the solution is built on first need and dies when this returns
         sol = cache(partial(
-            solve_nystrom, case.problem(), n1, n2, rulekind=kind, solver=solver,
+            solve_nystrom, case.problem(), n1, n2, rulekind=kind, solver=solver, tol=tol,
             allow_uncontained=case.allow_uncontained,
         ))
-        if xi:
+        if on_lattice:
             lattice[kind] = _lattice_values(sol())
         if kappa_key in wanted:
-            values[kappa_key] = float(_cached(
-                case.id, f"{kappa_key}_{n1}_{n2}",
-                lambda: condition_number_inf(sol(), cap=max(4096, sol().op.N)),
-            ))
+            values[kappa_key] = kappa(kappa_key, sol)
+        if "solver" in wanted:
+            # the companion's is read first: "gauss/companion" where they differ
+            ran, first = sol().solver, values.get("solver", sol().solver)
+            values["solver"] = ran if ran == first else f"{ran}/{first}"
         if kind == "gauss" and "iters" in wanted:
-            iters = sol().iterations
-            values["iters"] = float(-1 if iters is None else iters)
+            values["iters"] = sol().iterations
 
     # the companion system, one point larger per axis, first: a lattice
     # evaluation leaves its row blocks in the heap, under the next assembly
     read("antigauss", "kappa_a")
     read("gauss", "kappa_g")
-    if xi:
-        values.update(_xi_values(lattice["gauss"], lattice["antigauss"], _ref_grid(case)))
+    if on_lattice:
+        vg, va = values["lattice"] = lattice["gauss"], lattice["antigauss"]
+        ref = _ref_grid(case)
+        if ref is not None:
+            for key, v in (("xi_g", vg), ("xi_a", va), ("xi_avg", 0.5 * (vg + va))):
+                values[key] = relative_error(v, ref)
     return values
+
+
+def _table_kappa(case, size, key, sol) -> float:
+    """The tables' condition number policy: memo and disk cache, no cap below N."""
+    return float(_cached(case.id, f"{key}_{size[0]}_{size[1]}",
+                         lambda: condition_number_inf(sol(), cap=max(4096, sol().op.N))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -734,10 +736,10 @@ def run_case(case_id: str, sizes=None, metrics=None, solver=None) -> CaseReport:
         names = [m for m in _METRIC_ORDER if m in table and (metrics is None or m in metrics)]
         if not names:
             continue
-        values = _row_values(case, size, set(names), solver)
+        values = _row_values(case, size, set(names), solver, partial(_table_kappa, case, size))
         for metric in names:
             expected = table[metric]
-            computed = float(values[metric])
+            computed = float(-1 if values[metric] is None else values[metric])
             results.append(RowResult(size, metric, computed, expected, check_value(computed, expected)))
     if not results:
         raise ValueError(f"no stored rows selected for case {case_id!r}")

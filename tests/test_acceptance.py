@@ -60,6 +60,7 @@ def test_criterion_2_table2_cubature_errors_and_sign_flip():
     assert elapsed < 60.0
 
 
+@pytest.mark.known_conflict
 def test_criterion_3_figure1_bracketing_diagnostics():
     cub1 = get_case("cub1")
     for n1 in range(2, 31):
@@ -100,6 +101,7 @@ def test_criterion_4_table3_small_sizes():
     assert elapsed < 5.0
 
 
+@pytest.mark.known_conflict
 def test_criterion_5_table4_iterations_errors_conditioning():
     t0 = time.perf_counter()
     report = run_case("eq2")
@@ -145,6 +147,7 @@ def test_criterion_6_example3_table_and_solver_structure():
     assert abs(slope_sep - 1.5) < 0.2
 
 
+@pytest.mark.known_conflict
 def test_criterion_7_table6_errors():
     report = run_case("eq4")
     # red on purpose: the computed columns equal the independent exact

@@ -164,13 +164,43 @@ def _solve_report(capsys, *argv):
 
 
 def test_solve_xi_matches_table_row(capsys):
+    # solve and the tables read one row path: every metric a table row has
+    # (xi, kappa and iters) prints the same
     from squarequad import testproblems as tp
 
-    report = _solve_report(capsys, "--case", "eq3", "--n1", "16", "--n2", "16")
-    row = tp.run_case("eq3", sizes=[(16, 16)])
-    assert {r.metric: "%.16e" % r.computed for r in row.rows} == {
-        k: report[k] for k in ("xi_g", "xi_a", "xi_avg")
-    }
+    for case, n, metrics in (
+        ("eq1", 4, {"xi_g", "xi_a", "xi_avg", "kappa_g", "kappa_a"}),
+        ("eq2", 16, {"xi_g", "xi_a", "xi_avg", "kappa_g", "kappa_a", "iters"}),
+        ("eq3", 16, {"xi_g", "xi_a", "xi_avg"}),
+    ):
+        report = _solve_report(capsys, "--case", case, "--n1", str(n), "--n2", str(n))
+        row = tp.run_case(case, sizes=[(n, n)])
+        assert {r.metric for r in row.rows} == metrics, case
+        assert {r.metric: "%.16e" % r.computed for r in row.rows} == {
+            k: "%.16e" % float(report[k]) for k in metrics
+        }, case
+
+
+def test_solve_leaves_the_disk_cache_alone(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SQUAREQUAD_CACHE", str(cache))
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(
+        {"kernel_pair": ["exp-sum", "product"], "rhs": "exp-sin", "n1": 4, "n2": 4}
+    ))
+    _solve_report(capsys, "--case", "eq1", "--n1", "4", "--n2", "4")
+    _solve_report(capsys, "--problem", str(path))
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
+def test_gmres_over_its_basis_budget_exits_3(capsys, monkeypatch):
+    import squarequad.linsolve as ls
+
+    monkeypatch.setattr(ls, "_GMRES_BASIS_BYTES", 8 * 81)
+    code, out, err = _run(capsys, "solve", "--case", "eq3", "--n1", "8", "--n2", "8")
+    assert code == 3
+    assert out == ""
+    assert "gmres basis of 2 vectors of 81 entries exceeds 648 bytes after 1 iterations" in err
 
 
 @pytest.mark.parametrize("case,n", [("eq2", 16), ("eq3", 8), ("eq4", 16)])

@@ -1,7 +1,11 @@
 """Dense/Krylov solvers, fold/unfold, Stein path."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,20 @@ def test_gmres_keeps_the_basis_orthogonal():
     b = np.ones(60)
     x, _ = gmres(A, b, tol=1e-12)
     assert np.linalg.norm(b - A @ x) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_gmres_basis_budget_raises_before_the_append(rng, monkeypatch):
+    import squarequad.linsolve as ls
+
+    A = np.eye(20) + 0.5 * rng.standard_normal((20, 20))
+    b = rng.standard_normal(20)
+    # room for the starting vector only: the first append is over budget
+    monkeypatch.setattr(ls, "_GMRES_BASIS_BYTES", 8 * 20)
+    with pytest.raises(sq.CapacityError, match=r"after 1 iterations with residual \d"):
+        gmres(A, b)
+    monkeypatch.setattr(ls, "_GMRES_BASIS_BYTES", 8 * 20 * 21)
+    x, _ = gmres(A, b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_stein_zero_factors():
@@ -220,6 +238,31 @@ def test_aca_recovers_exact_low_rank(rng):
     assert aca(lambda rows, cols: K[rows, cols], 40, 1) is None
     U, V = aca(lambda rows, cols: np.zeros((40, 40))[rows, cols], 40, 20)
     assert U.shape == (40, 0)
+
+
+def test_undeclared_factored_assembly_leaves_numpy_random_unloaded():
+    # the cross approximation's probe comes from the standard library
+    code = """
+import sys
+import numpy as np
+import squarequad as sq
+from squarequad.testproblems import get_case
+case = get_case("eq2")
+base = case.problem()
+prob = sq.FredholmProblem(
+    base.w1, base.w2, base.u, base.rhs, mult=base.mult,
+    kernel=lambda a1, a2, b1, b2: np.abs(a1 - b1) + np.abs(a2 - b2),
+)
+rule = sq.gauss_cubature(case.w1, case.w2, 8, 8)
+op, _ = sq.assemble_system(prob, rule, realization="factored")
+print(op.realization, op.rank, "numpy.random" in sys.modules)
+"""
+    src = Path(sq.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout
+    assert out == "factored 15 False\n"
 
 
 def test_stein_balances_unequal_factors():
