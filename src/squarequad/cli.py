@@ -69,6 +69,10 @@ def _weights_from_args(args) -> tuple:
 # ---------------------------------------------------------------------------
 # rule
 
+# a dump holds all its text in memory before writing it: at most 128 bytes
+# per point (a JSON entry takes 111) within a 256 MiB budget
+_DUMP_CAP = 2**28 // 128
+
 
 def _build_rule(w1, w2, n1, n2, kind, allow_uncontained):
     if kind == "gauss":
@@ -80,7 +84,16 @@ def _build_rule(w1, w2, n1, n2, kind, allow_uncontained):
 
 def cmd_rule(args) -> int:
     w1, w2 = _weights_from_args(args)
-    rule = _build_rule(w1, w2, args.n1, args.n2, args.kind, args.allow_uncontained)
+    n1, n2 = args.n1, args.n2
+    gauss, anti = n1 * n2, (n1 + 1) * (n2 + 1)
+    points = {"gauss": gauss, "antigauss": anti, "averaged": gauss + anti}[args.kind]
+    # sizes below 1 fail in the rule builder with their own message
+    if min(n1, n2) >= 1 and points > _DUMP_CAP:
+        raise CapacityError(
+            f"the {args.kind} rule dump for n1={n1} n2={n2} has {points} points, over "
+            f"the cap of {_DUMP_CAP} points"
+        )
+    rule = _build_rule(w1, w2, n1, n2, args.kind, args.allow_uncontained)
     head = (
         f"kind={rule.kind} w1=({w1.alpha:g},{w1.beta:g}) "
         f"w2=({w2.alpha:g},{w2.beta:g}) n1={args.n1} n2={args.n2}"

@@ -446,7 +446,12 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     weighted value extends continuously to the whole closed square.  A
     kernel value that is not finite raises AssemblyError, as in assembly.
     A separable solution is summed from the rule's 1D factors and its
-    coefficients on the n1 x n2 grid, without the rule's flat arrays.  A
+    coefficients D on the n1 x n2 grid, without the rule's flat arrays.
+    Points that form an m x n grid (y1 constant along axis 1 and y2 along
+    axis 0, as the comparison lattice and the outer form y1[:, None],
+    y2[None, :] are) are summed in tensor form, mult B1 D B2^T, from the
+    m n1 + n n2 axis-kernel values B_l = k_l(z_l, grid line) in one fixed
+    einsum order; scattered points are summed in row blocks.  A
     kernel that declares its y nodes, whatever the realization, is summed
     in its degenerate form: c_pq = sum_j k(x_j; t_pq) (lambda / u)_j a_j
     from P N kernel values, then sum_pq l_p(y1) l_q(y2) c_pq at the points.
@@ -470,15 +475,31 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
         # axis-factored sum keeps memory linear in the rule size
         z1, z2 = rule.rule1.nodes, rule.rule2.nodes
         u1, u2 = _axis_weight_values(prob, rule)
-        # D = (lambda / u) a on the grid, Fortran-ordered like fold(a): the
-        # gemm below rounds its last row block by the layout of D
+        # D = (lambda / u) a on the grid, Fortran-ordered like fold(a): both
+        # sums below round by the layout of D
         lam = np.multiply.outer(rule.rule2.weights, rule.rule1.weights).T
         D = lam / np.multiply.outer(u2, u1).T * fold(sol.coeffs, z1.size, z2.size)
-        # a block holds rows of A1 and A2 plus kernel temporaries of equal width
-        for lo, hi in row_blocks(y1f.size, 2 * (z1.size + z2.size)):
-            A1 = _axis_block(prob, 1, z1, y1f[lo:hi])
-            A2 = _axis_block(prob, 2, z2, y2f[lo:hi])
-            acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
+        # a grid (y1 constant along axis 1, y2 along axis 0) is told from the
+        # values, not the shapes: the lattice arrives as two full 2-d arrays
+        grid = (
+            y1b.ndim == 2 and y1b.size > 0
+            and np.array_equal(y1b, np.broadcast_to(y1b[:, :1], shape))
+            and np.array_equal(y2b, np.broadcast_to(y2b[:1, :], shape))
+        )
+        if grid:
+            # mult B1 D B2^T from the axis kernels at the grid's own lines;
+            # einsum adds in one fixed order, a gemm would round by the
+            # BLAS thread count
+            B1 = _axis_block(prob, 1, z1, y1b[:, 0])
+            B2 = _axis_block(prob, 2, z2, y2b[0, :])
+            acc = prob.mult * np.einsum("pk,qk->pq", np.einsum("pj,jk->pk", B1, D), B2).ravel()
+        else:
+            # scattered points: a block holds rows of A1 and A2 plus kernel
+            # temporaries of equal width
+            for lo, hi in row_blocks(y1f.size, 2 * (z1.size + z2.size)):
+                A1 = _axis_block(prob, 1, z1, y1f[lo:hi])
+                A2 = _axis_block(prob, 2, z2, y2f[lo:hi])
+                acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
     elif prob.kernel_nodes is not None:
         da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
         # einsum adds in one fixed order; BLAS would round by the thread count

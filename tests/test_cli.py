@@ -218,11 +218,13 @@ def test_solve_brackets_against_the_xi_reference(capsys, case, n):
         ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
         ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
         ["solve", "--case", "eq3", "--n1", "256", "--n2", "256", "--out", "grid.csv"],
+        ["solve", "--case", "eq4", "--n1", "64", "--n2", "16", "--out", "grid.csv"],
+        ["solve", "--case", "eq1", "--n1", "8", "--n2", "8", "--out", "grid.csv"],
         ["reproduce", "4"],
     ],
     ids=[
         "reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out", "solve-eq3-256-out",
-        "reproduce-4",
+        "solve-eq4-out", "solve-eq1-out", "reproduce-4",
     ],
 )
 def test_output_independent_of_blas_threads(tmp_path, argv):
@@ -285,6 +287,28 @@ def test_rule_above_the_size_cap_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert f"{cap + 1} points exceeds the cap of {cap}" in err
+
+
+@pytest.mark.parametrize(
+    "kind,n1,n2,points",
+    # each count is over the cap of 2**21 points only for its own kind
+    [("gauss", 2049, 1024, 2049 * 1024), ("antigauss", 2048, 1023, 2049 * 1024),
+     ("averaged", 1024, 1024, 1024 * 1024 + 1025 * 1025)],
+)
+def test_rule_dump_above_its_point_cap_exits_3(capsys, monkeypatch, kind, n1, n2, points):
+    import squarequad.cli as cli
+    import squarequad.rules as rules
+
+    def no_ql(*args):
+        raise AssertionError("a rule was built above the dump cap")
+
+    monkeypatch.setattr(rules, "eig_tridiag", no_ql)
+    cap = cli._DUMP_CAP
+    assert cap == 2**21
+    code, out, err = _run(capsys, "rule", "--n1", str(n1), "--n2", str(n2), "--kind", kind)
+    assert code == 3
+    assert out == ""
+    assert f"for n1={n1} n2={n2} has {points} points, over the cap of {cap} points" in err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

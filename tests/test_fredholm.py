@@ -552,6 +552,78 @@ def test_separable_eval_matches_single_callable(rng):
     assert np.max(np.abs(fs - fn)) <= 1e-13 * np.max(np.abs(fn))
 
 
+def _separable_solution(case, solver, rulekind, kernel_pair=None):
+    c = get_case(case)
+    prob = c.problem()
+    if kernel_pair is not None:
+        prob = FredholmProblem(
+            prob.w1, prob.w2, prob.u, prob.rhs, kernel_pair=kernel_pair, mult=prob.mult
+        )
+    return solve_nystrom(
+        prob, 8, 6, rulekind=rulekind, solver=solver, allow_uncontained=c.allow_uncontained
+    )
+
+
+_GRID_CASES = [
+    ("eq1", "lu", "gauss"), ("eq3", "gmres-sk", "antigauss"),
+    ("eq4", "gmres-sk", "gauss"), ("eq4", "gmres-sk", "antigauss"),
+]
+
+
+@pytest.mark.parametrize("case,solver,rulekind", _GRID_CASES)
+def test_grid_lattice_sum_matches_the_row_blocks(case, solver, rulekind):
+    # the tensor sum on the grid against the row blocks at the same points,
+    # passed flat; the two add in different orders
+    sol = _separable_solution(case, solver, rulekind)
+    y1, y2 = sq.fredholm._LATTICE
+    grid, _ = interpolant_eval(sol, y1, y2, unweighted=False)
+    flat, _ = interpolant_eval(sol, y1.ravel(), y2.ravel(), unweighted=False)
+    flat = flat.reshape(grid.shape)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(grid - flat) <= 8 * eps * np.max(np.abs(flat), axis=0))
+
+
+@pytest.mark.parametrize("case,solver,rulekind", _GRID_CASES)
+def test_lattice_values_take_the_axis_kernels_on_the_axis_lines_only(case, solver, rulekind):
+    # 50 (n1 + n2) axis-kernel values per solution, not 2500 (n1 + n2)
+    seen = []
+
+    def counted(k):
+        def f(x, y):
+            seen.append(np.broadcast(x, y).size)
+            return k(x, y)
+        return f
+
+    sol = _separable_solution(
+        case, solver, rulekind, tuple(map(counted, get_case(case).problem().kernel_pair))
+    )
+    seen.clear()
+    sq.fredholm._lattice_values(sol)
+    assert sum(seen) == 50 * (sol.rule.rule1.npoints + sol.rule.rule2.npoints)
+
+
+def test_outer_product_points_match_the_full_lattice_bit_for_bit():
+    sol = _separable_solution("eq3", "gmres-sk", "gauss")
+    pts = sq.fredholm._LATTICE[0][:, 0]
+    fu, f = sol.eval(*sq.fredholm._LATTICE)
+    fu_outer, f_outer = sol.eval(pts[:, None], pts[None, :])
+    assert np.array_equal(fu, fu_outer) and np.array_equal(f, f_outer)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_grid_lattice_sum_rejects_a_nonfinite_axis_kernel(axis):
+    # finite at every node pair, so the system assembles and solves
+    pts = sq.fredholm._LATTICE[0][:, 0]
+    pair = list(get_case("eq3").problem().kernel_pair)
+    k = pair[axis - 1]
+    pair[axis - 1] = lambda x, y: np.where(y == pts[7], np.inf, k(x, y))
+    sol = _separable_solution("eq3", "lu", "gauss", tuple(pair))
+    with pytest.raises(AssemblyError, match=f"axis-{axis} .* point {pts[7]:.17g}") as exc:
+        sq.fredholm._lattice_values(sol)
+    nodes = (sol.rule.rule1, sol.rule.rule2)[axis - 1].nodes
+    assert exc.value.node[0] == axis and exc.value.node[1] in nodes
+
+
 @pytest.mark.parametrize("form", ["kernel", "kernel_pair"])
 def test_interpolant_rejects_nonfinite_kernel_off_the_nodes(form):
     # finite at every node pair, so the system assembles and solves; the
