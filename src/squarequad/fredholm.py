@@ -438,6 +438,14 @@ def solve_nystrom(
     return NystromSolution(problem, rule, rulekind, used, coeffs, stats, op)
 
 
+def _weight_values(u: SpaceWeight, y1b, y2b, grid: bool) -> np.ndarray:
+    """u at the broadcast points, flat; on a grid from its m + n axis values,
+    the same products SpaceWeight.eval forms point by point."""
+    if grid:
+        return np.multiply.outer(u.eval_axis(1, y1b[:, 0]), u.eval_axis(2, y2b[0, :])).ravel()
+    return u.eval(y1b.ravel(), y2b.ravel())
+
+
 def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     """Weighted and plain interpolant values at the points (y1, y2).
 
@@ -451,7 +459,9 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     axis 0, as the comparison lattice and the outer form y1[:, None],
     y2[None, :] are) are summed in tensor form, mult B1 D B2^T, from the
     m n1 + n n2 axis-kernel values B_l = k_l(z_l, grid line) in one fixed
-    einsum order; scattered points are summed in row blocks.  A
+    einsum order; scattered points are summed in row blocks.  On such a
+    grid the space weight comes from its m + n axis values, whatever the
+    kernel; the right-hand side g is evaluated point by point.  A
     kernel that declares its y nodes, whatever the realization, is summed
     in its degenerate form: c_pq = sum_j k(x_j; t_pq) (lambda / u)_j a_j
     from P N kernel values, then sum_pq l_p(y1) l_q(y2) c_pq at the points.
@@ -466,8 +476,15 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     y2f = y2b.ravel()
     prob = sol.problem
     rule = sol.rule
+    # a grid (y1 constant along axis 1, y2 along axis 0) is told from the
+    # values, not the shapes: the lattice arrives as two full 2-d arrays
+    grid = (
+        y1b.ndim == 2 and y1b.size > 0
+        and np.array_equal(y1b, np.broadcast_to(y1b[:, :1], shape))
+        and np.array_equal(y2b, np.broadcast_to(y2b[:1, :], shape))
+    )
 
-    uy = prob.u.eval(y1f, y2f)
+    uy = _weight_values(prob.u, y1b, y2b, grid)
     gy = _rhs_values(prob, y1f, y2f)
 
     acc = np.empty(y1f.size)
@@ -479,13 +496,6 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
         # sums below round by the layout of D
         lam = np.multiply.outer(rule.rule2.weights, rule.rule1.weights).T
         D = lam / np.multiply.outer(u2, u1).T * fold(sol.coeffs, z1.size, z2.size)
-        # a grid (y1 constant along axis 1, y2 along axis 0) is told from the
-        # values, not the shapes: the lattice arrives as two full 2-d arrays
-        grid = (
-            y1b.ndim == 2 and y1b.size > 0
-            and np.array_equal(y1b, np.broadcast_to(y1b[:, :1], shape))
-            and np.array_equal(y2b, np.broadcast_to(y2b[:1, :], shape))
-        )
         if grid:
             # mult B1 D B2^T from the axis kernels at the grid's own lines;
             # einsum adds in one fixed order, a gemm would round by the

@@ -7,12 +7,12 @@ known solution: eq1 and the zero-kernel demo have closed forms, and eq2's,
 eq3's and eq4's come from small moment systems of their kernels interpolated
 in y (exact for eq2's and eq4's rank-2 kernels, converged to rounding for
 eq3's).  cub1 and cub2 are scored against a high-order Gauss cubature.
-Expensive reference artifacts (those two integrals and the rows' condition
-numbers; never a solution) are memoized in process and cached on disk under
-SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, in files named by a digest
+Those two reference integrals are memoized in process and cached on disk
+under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, in files named by a digest
 of the package sources and the numpy version.  Files from other code are
 never read and may be deleted at any time; a cold cache regenerates
-deterministically.
+deterministically.  The rows' condition numbers are memoized in process
+only.
 """
 
 from __future__ import annotations
@@ -682,9 +682,15 @@ def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
 
 
 def _table_kappa(case, size, key, sol) -> float:
-    """The tables' condition number policy: memo and disk cache, no cap below N."""
-    return float(_cached(case.id, f"{key}_{size[0]}_{size[1]}",
-                         lambda: condition_number_inf(sol(), cap=max(4096, sol().op.N))))
+    """The tables' condition number policy: in-process memo, no cap below N.
+
+    A disk round trip would cost more than the computation: each store
+    rewrites the case's whole file, and each read loads all of it.
+    """
+    memo_key = case.id, f"{key}_{size[0]}_{size[1]}"
+    if memo_key not in _memo:
+        _memo[memo_key] = condition_number_inf(sol(), cap=max(4096, sol().op.N))
+    return _memo[memo_key]
 
 
 @dataclass(frozen=True, eq=False)

@@ -258,6 +258,8 @@ def _assert_factored_matches_dense(prob, rule, rank, rng):
     v = rng.standard_normal(op.N)
     want = dense_op.matvec(v)
     assert np.max(np.abs(op.matvec(v) - want)) < 1e-13 * np.max(np.abs(want))
+    assert condition_number_inf(op) == pytest.approx(condition_number_inf(dense_op), rel=1e-12)
+    return op
 
 
 def test_rank_one_kernel_with_vanishing_first_row_stays_factored(rng):
@@ -282,7 +284,9 @@ def test_additive_kernel_stays_factored(rng):
         kernel=lambda a1, a2, b1, b2: np.abs(a1 - b1) + np.abs(a2 - b2),
     )
     rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
-    _assert_factored_matches_dense(prob, rule, 31, rng)
+    op = _assert_factored_matches_dense(prob, rule, 31, rng)
+    # no two collocation points share a row of U: kappa sweeps all N rows
+    assert len(sq.linsolve._distinct_rows(op._U)[2]) == op.N
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +379,30 @@ def test_declared_lattice_sum_evaluates_the_kernel_at_the_node_pairs_only():
 @pytest.mark.parametrize("size", [(16, 16), (64, 16)], ids=["16x16", "64x16"])
 @pytest.mark.parametrize("declared", [True, False], ids=["declared", "aca"])
 def test_eq2_factors_match_the_dense_matvec(declared, size, rulekind, rng):
+    # cross factors take kernel columns, constant in y1 here as well, so
+    # their U repeats rows like the declared one: kappa sweeps n2 (+1) rows
     base = get_case("eq2").problem()
     prob = _eq2_with_kernel(base.kernel if declared else _undeclared(base.kernel))
     assert (prob.kernel_nodes is not None) == declared
-    _assert_factored_matches_dense(prob, _eq2_rule(*size, rulekind), 2, rng)
+    op = _assert_factored_matches_dense(prob, _eq2_rule(*size, rulekind), 2, rng)
+    assert len(sq.linsolve._distinct_rows(op._U)[2]) == size[1] + (rulekind == "antigauss")
+
+
+def test_declared_eq2_kappa_sweeps_the_distinct_rows_only(monkeypatch):
+    # sin(x1+x2)(1+x1+y2) is constant in y1, so U has one row per y2 node:
+    # 17 rows of the companion system's 4369 columns, not 4369
+    op, _ = sq.assemble_system(get_case("eq2").problem(), _eq2_rule(256, 16, "antigauss"),
+                               realization="factored")
+    swept = []
+    row_blocks = sq.linsolve.row_blocks
+
+    def spy(nrows, ncols):
+        swept.append((nrows, ncols))
+        return row_blocks(nrows, ncols)
+
+    monkeypatch.setattr(sq.linsolve, "row_blocks", spy)
+    condition_number_inf(op, cap=op.N)
+    assert swept == [(17, 4369), (17, 4369)]
 
 
 @pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
@@ -608,6 +632,35 @@ def test_outer_product_points_match_the_full_lattice_bit_for_bit():
     fu, f = sol.eval(*sq.fredholm._LATTICE)
     fu_outer, f_outer = sol.eval(pts[:, None], pts[None, :])
     assert np.array_equal(fu, fu_outer) and np.array_equal(f, f_outer)
+
+
+@pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
+@pytest.mark.parametrize("case", ["eq1", "eq2", "eq3", "eq4"])
+def test_grid_space_weight_takes_its_axis_values_bit_for_bit(case, rulekind, monkeypatch):
+    c = get_case(case)
+    sol = solve_nystrom(c.problem(), 8, 6, rulekind=rulekind, solver=c.solver,
+                        allow_uncontained=c.allow_uncontained)
+    # m + n axis values of u on an m x n grid; the rule's own nodes take theirs too
+    y1, y2 = np.linspace(-0.9, 0.8, 7), np.linspace(-0.7, 0.6, 5)
+    seen = []
+    eval_axis = SpaceWeight.eval_axis
+
+    def spy(self, axis, x):
+        seen.append((axis, np.array(x, dtype=float)))
+        return eval_axis(self, axis, x)
+
+    monkeypatch.setattr(SpaceWeight, "eval_axis", spy)
+    interpolant_eval(sol, y1[:, None], y2[None, :])
+    on_grid = [(axis, x.size) for axis, x in seen if np.all(np.isin(x, (y1, y2)[axis - 1]))]
+    assert on_grid == [(1, 7), (2, 5)]
+    monkeypatch.undo()
+
+    # the same bits, signs of zero included, as u evaluated point by point
+    fu, _ = interpolant_eval(sol, *sq.fredholm._LATTICE, unweighted=False)
+    monkeypatch.setattr(sq.fredholm, "_weight_values",
+                        lambda u, y1b, y2b, grid: u.eval(y1b.ravel(), y2b.ravel()))
+    want, _ = interpolant_eval(sol, *sq.fredholm._LATTICE, unweighted=False)
+    assert np.array_equal(fu, want) and np.array_equal(np.signbit(fu), np.signbit(want))
 
 
 @pytest.mark.parametrize("axis", [1, 2])

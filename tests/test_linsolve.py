@@ -228,6 +228,38 @@ def test_factored_eq2_matches_dense(n1, n2, kind, rng):
     assert kappa == pytest.approx(sq.condition_number_inf(dense_op), rel=1e-10)
 
 
+@pytest.mark.parametrize("n1,n2,K,r", [(12, 5, 4, 3), (9, 10, 9, 2), (8, 5, 40, 4), (6, 5, 1, 0)])
+def test_factored_kappa_from_repeated_rows_matches_dense(n1, n2, K, r, rng):
+    # U draws its N rows from K distinct ones, one of them zero; u takes both
+    # signs and one zero
+    N = n1 * n2
+    W = rng.standard_normal((K, r))
+    W[-1] = 0.0
+    k = np.concatenate([np.arange(K), rng.integers(0, K, N - K)])
+    U = W[rng.permutation(k)]
+    u = rng.standard_normal(N)
+    u[N // 2] = 0.0
+    V = rng.standard_normal((N, r)) / N
+    d = rng.uniform(0.5, 2.0, N)
+    op = sq.SystemOperator("factored", n1, n2, u=u, d=d, factors=(U, V))
+    assert len(sq.linsolve._distinct_rows(U)[2]) == K
+    want = sq.condition_number_inf(op.to_dense())
+    assert sq.condition_number_inf(op) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a", [np.array(2.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])],
+    ids=["0-d", "1-d", "2x3", "3-d", "nan"],
+)
+def test_condition_number_rejects_bad_arrays_naming_the_shape(a, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("inverted a rejected array")
+
+    monkeypatch.setattr(np.linalg, "inv", no_work)
+    with pytest.raises(ValueError, match=re.escape(str(a.shape))):
+        sq.condition_number_inf(a)
+
+
 def test_aca_recovers_exact_low_rank(rng):
     A = rng.standard_normal((40, 2))
     B = rng.standard_normal((40, 2))

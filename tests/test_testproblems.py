@@ -106,11 +106,11 @@ def test_eq2_iteration_counts_exact():
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
     tp.clear_memo()
-    first = run_case("eq1", sizes=[(2, 2)])
+    first = run_case("cub1", sizes=[(4, 8)])
     files = list(tmp_path.glob("*.npz"))
     assert files, "expected a cache file to be written"
     tp.clear_memo()
-    second = run_case("eq1", sizes=[(2, 2)])
+    second = run_case("cub1", sizes=[(4, 8)])
     assert [r.computed for r in first.rows] == [r.computed for r in second.rows]
 
     # a file written by other code is never read: a new digest misses and
@@ -126,9 +126,9 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(tp, "_disk_get", spy)
     monkeypatch.setattr(tp, "_code_digest", lambda: "0" * 64)
     tp.clear_memo()
-    third = run_case("eq1", sizes=[(2, 2)])
+    third = run_case("cub1", sizes=[(4, 8)])
     assert hits and not any(hits)
-    assert sorted(tmp_path.glob("*.npz")) == sorted(files + [tmp_path / f"case-eq1-{'0' * 64}.npz"])
+    assert sorted(tmp_path.glob("*.npz")) == sorted(files + [tmp_path / f"case-cub1-{'0' * 64}.npz"])
     assert [r.computed for r in first.rows] == [r.computed for r in third.rows]
     tp.clear_memo()
 
