@@ -387,6 +387,7 @@ def _distinct_rows(U):
     lazy import of 9-14 ms on its first call.
     """
     N, r = U.shape
+    # column 0 is the primary key; lexsort refuses an empty key list
     order = np.lexsort(U.T[::-1]) if r else np.arange(N)
     Us = U[order]
     new = np.ones(N, dtype=bool)
