@@ -430,8 +430,13 @@ def condition_number_inf(op, cap: int = 4096) -> float:
     axes; eq2's kernel is constant in y1, and its U, declared or cross,
     has one row per y2 node.  Other operators go through an
     explicit inverse.  A plain array must be a finite square matrix, or
-    ValueError names its shape.  Refuses systems larger than ``cap``
-    unknowns; raise the cap explicitly when the cost is intended.
+    ValueError names its shape.
+
+    ``cap`` bounds the work of the branch that runs, checked before any
+    inverse or row sweep: an explicit inverse is refused above ``cap``
+    unknowns, a factored system when K N r exceeds ``cap**2`` (at the
+    default, the 2**24 entries of a 4096 x 4096 inverse).  Raise the cap
+    explicitly when the cost is intended.
     """
     if isinstance(op, SystemOperator):
         n = op.N
@@ -440,19 +445,25 @@ def condition_number_inf(op, cap: int = 4096) -> float:
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"condition number needs a square matrix, got shape {op.shape}")
         n = op.shape[0]
+    if isinstance(op, SystemOperator) and op.realization == "factored":
+        u, U = op._u, op._U
+        order, start, W = _distinct_rows(U)
+        work = W.shape[0] * n * op.rank
+        if work > cap * cap:
+            raise CapacityError(
+                f"condition number of a {n} x {n} factored system with {W.shape[0]} distinct "
+                f"rows of rank {op.rank} ({work} entries) exceeds cap {cap}**2"
+            )
+        B = op._d[:, None] * op._V
+        M = np.linalg.inv(np.eye(op.rank) - B.T @ (u[:, None] * U))
+        return (_norm_inf_rank_one_rows(-u, W, order, start, B)
+                * _norm_inf_rank_one_rows(u, W @ M, order, start, B))
     if n > cap:
         raise CapacityError(f"condition number of a {n} x {n} system exceeds cap {cap}")
     if not isinstance(op, SystemOperator):
         if not np.all(np.isfinite(op)):
             raise ValueError(f"condition number needs finite entries, got a non-finite {op.shape} matrix")
         F = op
-    elif op.realization == "factored":
-        u, U = op._u, op._U
-        B = op._d[:, None] * op._V
-        M = np.linalg.inv(np.eye(op.rank) - B.T @ (u[:, None] * U))
-        order, start, W = _distinct_rows(U)
-        return (_norm_inf_rank_one_rows(-u, W, order, start, B)
-                * _norm_inf_rank_one_rows(u, W @ M, order, start, B))
     else:
         F = op.to_dense()
     Finv = np.linalg.inv(F)

@@ -8,16 +8,18 @@ eq3's and eq4's come from small moment systems of their kernels interpolated
 in y (exact for eq2's and eq4's rank-2 kernels, converged to rounding for
 eq3's).  cub1 and cub2 are scored against a high-order Gauss cubature.
 Those two reference integrals are memoized in process and cached on disk
-under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, in files named by a digest
-of the package sources and the numpy version.  Files from other code are
-never read and may be deleted at any time; a cold cache regenerates
+under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, one file per case.
+Each file holds the numpy version and the package sources byte for byte,
+and is read only when they equal the running code's; a file from other
+code is replaced in place.  Two checkouts sharing one directory therefore
+overwrite each other's file, and each still reads only its own results.
+Files may be deleted at any time; a cold cache regenerates
 deterministically.  The rows' condition numbers are memoized in process
 only.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -548,25 +550,32 @@ def cache_dir() -> Path:
 
 
 @cache
-def _code_digest() -> str:
-    """SHA-256 of the package sources and the numpy version."""
-    h = hashlib.sha256(np.__version__.encode())
+def _code_key() -> np.ndarray:
+    """The numpy version and every package source, byte for byte.
+
+    Names and sources are joined by NUL bytes, which neither can contain,
+    so two different code versions never give equal keys.
+    """
+    parts = [np.__version__.encode()]
     for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + path.read_bytes())
-    return h.hexdigest()
+        parts += [path.name.encode(), path.read_bytes()]
+    return np.frombuffer(b"\0".join(parts), dtype=np.uint8)  # read-only
 
 
 def _cache_file(case_id: str) -> Path:
-    return cache_dir() / f"case-{case_id}-{_code_digest()}.npz"
+    return cache_dir() / f"case-{case_id}.npz"
 
 
 def _disk_load(case_id: str) -> dict:
+    """The case file's entries; {} when it is missing, corrupt or from other code."""
     path = _cache_file(case_id)
     if not path.exists():
         return {}
     try:
         with np.load(path) as z:
-            return {k: z[k] for k in z.files}
+            if not np.array_equal(z["code"], _code_key()):
+                return {}
+            return {k: z[k] for k in z.files if k != "code"}
     except Exception:
         return {}  # a corrupt cache regenerates
 
@@ -580,8 +589,9 @@ def _disk_store(case_id: str, key: str, value) -> None:
     data[key] = np.asarray(value)
     path = _cache_file(case_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, **data)
+    # one temporary per process: checkouts sharing the directory share the name
+    tmp = path.with_suffix(f".{os.getpid()}.tmp.npz")
+    np.savez(tmp, code=_code_key(), **data)
     os.replace(tmp, path)
 
 
@@ -682,14 +692,14 @@ def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
 
 
 def _table_kappa(case, size, key, sol) -> float:
-    """The tables' condition number policy: in-process memo, no cap below N.
+    """The tables' condition number policy: the library's cap, in-process memo.
 
     A disk round trip would cost more than the computation: each store
     rewrites the case's whole file, and each read loads all of it.
     """
     memo_key = case.id, f"{key}_{size[0]}_{size[1]}"
     if memo_key not in _memo:
-        _memo[memo_key] = condition_number_inf(sol(), cap=max(4096, sol().op.N))
+        _memo[memo_key] = condition_number_inf(sol())
     return _memo[memo_key]
 
 

@@ -181,6 +181,33 @@ def test_solve_xi_matches_table_row(capsys):
         }, case
 
 
+def test_solve_prints_kappa_of_large_factored_rows(capsys):
+    # the factored kappa is capped by its K N r work, not by N: eq2's
+    # (256,16) rows have N = 4096 and 4369 unknowns, and solve prints the
+    # kappa that table 4 prints
+    from squarequad import testproblems as tp
+
+    report = _solve_report(capsys, "--case", "eq2", "--n1", "256", "--n2", "16")
+    row = tp.run_case("eq2", sizes=[(256, 16)], metrics=["kappa_g", "kappa_a"])
+    assert {r.metric: "%.16e" % r.computed for r in row.rows} == {
+        k: report[k] for k in ("kappa_g", "kappa_a")
+    }
+
+
+def test_solve_skips_kappa_of_large_separable_rows(capsys, monkeypatch):
+    # a separable (65,65) system has 4225 unknowns, above the 4096 of an
+    # explicit inverse: refused before it is densified or inverted
+    import squarequad.linsolve as ls
+
+    def refuse(*args):
+        raise AssertionError("kappa allocated above its cap")
+
+    monkeypatch.setattr(ls.np.linalg, "inv", refuse)
+    monkeypatch.setattr(ls.SystemOperator, "to_dense", refuse)
+    report = _solve_report(capsys, "--case", "eq3", "--n1", "65", "--n2", "65")
+    assert (report["kappa_g"], report["kappa_a"]) == ("skipped", "skipped")
+
+
 def test_solve_leaves_the_disk_cache_alone(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("SQUAREQUAD_CACHE", str(cache))
@@ -210,44 +237,92 @@ def test_solve_brackets_against_the_xi_reference(capsys, case, n):
     assert float(report["fraction_between"]) == 1.0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["reproduce", "1"],
-        ["reproduce", "2"],
-        ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
-        ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
-        ["solve", "--case", "eq3", "--n1", "256", "--n2", "256", "--out", "grid.csv"],
-        ["solve", "--case", "eq4", "--n1", "64", "--n2", "16", "--out", "grid.csv"],
-        ["solve", "--case", "eq1", "--n1", "8", "--n2", "8", "--out", "grid.csv"],
-        ["reproduce", "4"],
-    ],
-    ids=[
-        "reproduce-1", "reproduce-2", "integrate-cub2", "solve-eq2-out", "solve-eq3-256-out",
-        "solve-eq4-out", "solve-eq1-out", "reproduce-4",
-    ],
-)
-def test_output_independent_of_blas_threads(tmp_path, argv):
-    # each run gets its own cache: a shared one would serve the first run's
-    # reference integral to the second and hide a difference
+# every command the thread test compares, by test id
+_THREAD_COMMANDS = {
+    "reproduce-1": ["reproduce", "1"],
+    "reproduce-2": ["reproduce", "2"],
+    "reproduce-3": ["reproduce", "3"],
+    "reproduce-4": ["reproduce", "4"],
+    "reproduce-6": ["reproduce", "6"],
+    "integrate-cub2": ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
+    "solve-eq2-out": ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
+    "solve-eq3-256-out": ["solve", "--case", "eq3", "--n1", "256", "--n2", "256", "--out", "grid.csv"],
+    "solve-eq4-out": ["solve", "--case", "eq4", "--n1", "64", "--n2", "16", "--out", "grid.csv"],
+    "solve-eq1-out": ["solve", "--case", "eq1", "--n1", "8", "--n2", "8", "--out", "grid.csv"],
+}
+
+# the command run a second time, on the caches its first run filled
+_WARM_COMMAND = "reproduce-2"
+
+# Runs every command through cli.main in one interpreter: each in its own
+# directory with its own disk cache, after emptying the in-process caches,
+# so that nothing one command computed serves another.  Writes each
+# command's stdout next to its directory.
+_THREAD_RUNNER = """
+import contextlib, io, json, os, sys
+from pathlib import Path
+from squarequad import rules, testproblems as tp
+from squarequad.cli import main
+
+root = Path(sys.argv[1])
+commands, warm = json.loads(sys.argv[2]), sys.argv[3]
+
+def run(name, argv):
+    (root / name).mkdir()
+    os.chdir(root / name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, name
+    (root / f"{name}.stdout").write_bytes(out.getvalue().encode())
+
+for name, argv in commands.items():
+    os.environ["SQUAREQUAD_CACHE"] = str(root / f"{name}.cache")
+    tp.clear_memo()
+    rules._rule_cached.cache_clear()
+    tp._degenerate_coeffs.cache_clear()
+    run(name, argv)
+os.environ["SQUAREQUAD_CACHE"] = str(root / f"{warm}.cache")
+run("warm", commands[warm])
+"""
+
+
+@pytest.fixture(scope="module")
+def thread_runs(tmp_path_factory):
+    """Each command's output under 1 and 2 BLAS threads, one interpreter each."""
     import squarequad
 
     src = Path(squarequad.__file__).resolve().parent.parent
-    outs = []
+    roots, procs = [], []
     for threads in ("1", "2"):
-        run_dir = tmp_path / f"threads{threads}"
-        run_dir.mkdir()
-        env = dict(
-            os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
-            SQUAREQUAD_CACHE=str(run_dir / "cache"),
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "squarequad.cli", *argv],
-            env=env, cwd=run_dir, capture_output=True, check=True,
-        )
-        written = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
-        outs.append((proc.stdout, written))
-    assert outs[0] == outs[1]
+        root = tmp_path_factory.mktemp(f"threads{threads}")
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _THREAD_RUNNER, str(root),
+             json.dumps(_THREAD_COMMANDS), _WARM_COMMAND],
+            env=env, stderr=subprocess.PIPE,
+        ))
+        roots.append(root)
+    for proc in procs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()
+    return roots
+
+
+def _thread_output(root, name):
+    written = {p.name: p.read_bytes() for p in (root / name).iterdir() if p.is_file()}
+    return (root / f"{name}.stdout").read_bytes(), written
+
+
+@pytest.mark.parametrize("name", list(_THREAD_COMMANDS))
+def test_output_independent_of_blas_threads(thread_runs, name):
+    # each command's stdout and written files, byte for byte
+    one, two = (_thread_output(root, name) for root in thread_runs)
+    assert one == two
+
+
+def test_warm_in_process_caches_keep_output(thread_runs):
+    for root in thread_runs:
+        assert _thread_output(root, "warm") == _thread_output(root, _WARM_COMMAND)
 
 
 def test_solve_keeps_one_solution_alive(tmp_path):

@@ -8,6 +8,8 @@ or the cached reference solves, so they separate "library broke" from
 """
 
 import functools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -403,6 +405,26 @@ def test_declared_eq2_kappa_sweeps_the_distinct_rows_only(monkeypatch):
     monkeypatch.setattr(sq.linsolve, "row_blocks", spy)
     condition_number_inf(op, cap=op.N)
     assert swept == [(17, 4369), (17, 4369)]
+
+
+def test_factored_condition_number_cap_counts_its_work(monkeypatch):
+    # a factored system's cap bounds K N r, checked before the inverse of
+    # its r x r core and before either row sweep
+    case = get_case("eq2")
+    rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
+    op, _ = sq.assemble_system(case.problem(), rule, realization="factored")
+    work = 16 * op.N * op.rank  # eq2's U has one distinct row per y2 node
+    cap = math.isqrt(work)
+    assert condition_number_inf(op, cap=cap + 1) > 1.0
+
+    def refuse(*args):
+        raise AssertionError("kappa started above its cap")
+
+    monkeypatch.setattr(sq.linsolve.np.linalg, "inv", refuse)
+    monkeypatch.setattr(sq.linsolve, "row_blocks", refuse)
+    msg = f"16 distinct rows of rank {op.rank} ({work} entries) exceeds cap {cap}**2"
+    with pytest.raises(CapacityError, match=re.escape(msg)):
+        condition_number_inf(op, cap=cap)
 
 
 @pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])

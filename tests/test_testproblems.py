@@ -103,18 +103,8 @@ def test_eq2_iteration_counts_exact():
     assert all(int(round(r.computed)) == 3 for r in report.rows)
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
-    tp.clear_memo()
-    first = run_case("cub1", sizes=[(4, 8)])
-    files = list(tmp_path.glob("*.npz"))
-    assert files, "expected a cache file to be written"
-    tp.clear_memo()
-    second = run_case("cub1", sizes=[(4, 8)])
-    assert [r.computed for r in first.rows] == [r.computed for r in second.rows]
-
-    # a file written by other code is never read: a new digest misses and
-    # writes its own file next to the old one
+def _disk_hits(monkeypatch):
+    """Whether each disk read of the cache hit, one entry per read."""
     hits = []
     disk_get = tp._disk_get
 
@@ -124,13 +114,68 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
         return hit
 
     monkeypatch.setattr(tp, "_disk_get", spy)
-    monkeypatch.setattr(tp, "_code_digest", lambda: "0" * 64)
+    return hits
+
+
+def _cub1_values():
     tp.clear_memo()
-    third = run_case("cub1", sizes=[(4, 8)])
-    assert hits and not any(hits)
-    assert sorted(tmp_path.glob("*.npz")) == sorted(files + [tmp_path / f"case-cub1-{'0' * 64}.npz"])
-    assert [r.computed for r in first.rows] == [r.computed for r in third.rows]
+    return [r.computed for r in run_case("cub1", sizes=[(4, 8)]).rows]
+
+
+def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
+    path = tmp_path / "case-cub1.npz"
+    hits = _disk_hits(monkeypatch)
+    first = _cub1_values()
+    assert list(tmp_path.iterdir()) == [path]
+    assert _cub1_values() == first
+    assert hits == [False, True]
+
+    # a file written by other code is never read: another key misses, and
+    # the store replaces the file in place
+    other = np.frombuffer(b"other code", dtype=np.uint8)
+    monkeypatch.setattr(tp, "_code_key", lambda: other)
+    assert _cub1_values() == first
+    assert hits[2:] == [False]
+    assert list(tmp_path.iterdir()) == [path]
+    with np.load(path) as z:
+        assert np.array_equal(z["code"], other)
     tp.clear_memo()
+
+
+def test_truncated_disk_cache_regenerates(tmp_path, monkeypatch):
+    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
+    path = tmp_path / "case-cub1.npz"
+    hits = _disk_hits(monkeypatch)
+    first = _cub1_values()
+    path.write_bytes(path.read_bytes()[:100])
+    assert _cub1_values() == first
+    assert _cub1_values() == first
+    assert hits == [False, False, True]
+    assert list(tmp_path.iterdir()) == [path]
+    tp.clear_memo()
+
+
+def test_no_openssl_in_any_pass(tmp_path):
+    # the cache compares its key byte for byte; hashlib would map OpenSSL
+    # (about 3.5 MB of RSS) into every process that imports the package
+    script = """
+import sys
+import squarequad.cli
+from squarequad import testproblems as tp
+tp.run_case("eq2", sizes=[(16, 16)])
+for _ in "cold", "warm":
+    tp.clear_memo()
+    tp.run_case("cub1", sizes=[(4, 8)])
+assert tp._cache_file("cub1").exists()
+assert "_hashlib" not in sys.modules, "OpenSSL is loaded"
+"""
+    import squarequad
+
+    src = Path(squarequad.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), SQUAREQUAD_CACHE=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_table_row_evaluates_each_solution_once(interpolant_evals):
