@@ -98,6 +98,7 @@ def cmd_rule(args) -> int:
         f"kind={rule.kind} w1=({w1.alpha:g},{w1.beta:g}) "
         f"w2=({w2.alpha:g},{w2.beta:g}) n1={args.n1} n2={args.n2}"
     )
+    columns = zip(rule.nodes1.tolist(), rule.nodes2.tolist(), rule.weights.tolist())
     if args.format == "json":
         doc = {
             "kind": rule.kind,
@@ -105,16 +106,14 @@ def cmd_rule(args) -> int:
             "w2": [w2.alpha, w2.beta],
             "n1": args.n1,
             "n2": args.n2,
-            "nodes": [
-                [_fmt(x1), _fmt(x2), _fmt(w)]
-                for x1, x2, w in zip(rule.nodes1, rule.nodes2, rule.weights)
-            ],
+            "nodes": [[_FLOAT % x1, _FLOAT % x2, _FLOAT % w] for x1, x2, w in columns],
         }
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         return 0
+    # one % per row on Python floats, the same text as _fmt on each value
+    row = f"{_FLOAT},{_FLOAT},{_FLOAT}"
     lines = [f"# {head}", "x1,x2,weight"]
-    for x1, x2, w in zip(rule.nodes1, rule.nodes2, rule.weights):
-        lines.append(f"{_fmt(x1)},{_fmt(x2)},{_fmt(w)}")
+    lines += [row % xw for xw in columns]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

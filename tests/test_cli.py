@@ -63,6 +63,28 @@ def test_rule_json_deterministic(tmp_path, capsys):
     assert len(doc["nodes"]) == 6
 
 
+@pytest.mark.parametrize("kind", ["gauss", "antigauss", "averaged"])
+def test_rule_dump_text_is_per_value_formatting(capsys, kind):
+    from squarequad import JacobiWeight
+    from squarequad.cli import _FLOAT, _build_rule
+
+    rule = _build_rule(JacobiWeight(0.5, -0.25), JacobiWeight(1.0, 0.0), 5, 4, kind, False)
+    rows = [
+        [_FLOAT % float(x1), _FLOAT % float(x2), _FLOAT % float(w)]
+        for x1, x2, w in zip(rule.nodes1, rule.nodes2, rule.weights)
+    ]
+    args = ("rule", "--alpha1", "0.5", "--beta1", "-0.25", "--alpha2", "1", "--beta2", "0",
+            "--n1", "5", "--n2", "4", "--kind", kind)
+    code, out, _ = _run(capsys, *args)
+    assert code == 0
+    head = f"# kind={kind} w1=(0.5,-0.25) w2=(1,0) n1=5 n2=4"
+    assert out == "\n".join([head, "x1,x2,weight"] + [",".join(r) for r in rows]) + "\n"
+    code, out, _ = _run(capsys, *args, "--format", "json")
+    assert code == 0
+    doc = {"kind": kind, "w1": [0.5, -0.25], "w2": [1.0, 0.0], "n1": 5, "n2": 4, "nodes": rows}
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_integrate_case_row(capsys):
     code, out, _ = _run(capsys, "integrate", "--case", "cub1", "--n1", "8", "--n2", "8")
     assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squarequad import ConvergenceError, JacobiWeight, eig_tridiag, recurrence_coeffs
+from squarequad import ConvergenceError, JacobiWeight, eig_tridiag, recurrence_coeffs, tridiag
 
 from oracles import ql_numpy_scalars, tridiag_eigvals_bisect
 
@@ -84,19 +84,24 @@ def test_mismatched_lengths_rejected():
 
 
 def _assert_bits_match_numpy_scalar_sweep(d, e):
+    """Compare with the oracle bit for bit; True when both raise."""
     try:
         values, firstcomp = ql_numpy_scalars(d, e)
-    except RuntimeError:
-        with pytest.raises(ConvergenceError):
+    except RuntimeError as err:
+        # the oracle's message starts "eigenvalue <l> not converged"
+        with pytest.raises(ConvergenceError) as info:
             eig_tridiag(d, e)
-        return
+        assert info.value.index == int(str(err).split()[1])
+        return True
     out = eig_tridiag(d, e)
-    assert np.array_equal(out.values, values)
-    assert np.array_equal(out.firstcomp, firstcomp)
+    # bytes, so that a zero of the other sign fails too
+    assert out.values.tobytes() == values.tobytes()
+    assert out.firstcomp.tobytes() == firstcomp.tobytes()
+    return False
 
 
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (-0.5, 0.0), (1.0, 1.25)])
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 189])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 189, 256])
 def test_bit_identical_to_numpy_scalar_sweep_on_jacobi_matrices(ab, n):
     c = recurrence_coeffs(JacobiWeight(*ab), n)
     off = np.sqrt(c.b[1:n])
@@ -114,6 +119,70 @@ def test_bit_identical_to_numpy_scalar_sweep_on_random_matrices(data, n):
     d = data.draw(hnp.arrays(np.float64, n, elements=finite))
     e = data.draw(hnp.arrays(np.float64, n - 1, elements=st.one_of(st.just(0.0), finite)))
     _assert_bits_match_numpy_scalar_sweep(d, e)
+
+
+def _seeded_matrix(kind, rng):
+    n = int(rng.integers(2, 41))
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "zero-interior":
+        e[rng.random(n - 1) < 0.3] = 0.0
+    elif kind == "tiny-interior":
+        # entries near the deflation threshold, which sweeps push below it
+        mask = rng.random(n - 1) < 0.3
+        e[mask] *= 10.0 ** -rng.uniform(12.0, 18.0, mask.sum())
+    elif kind == "integer":
+        # small integers, where rounding often cancels exactly
+        d = rng.integers(-3, 4, n).astype(float)
+        e = rng.integers(-2, 3, n - 1).astype(float)
+    elif kind == "constant":
+        d = np.full(n, float(rng.integers(-2, 3)))
+        e = np.full(n - 1, float(rng.integers(0, 2)))
+    elif kind == "scaled-2^-1000":
+        d, e = 2.0**-1000 * d, 2.0**-1000 * e
+    return d, e
+
+
+@pytest.mark.parametrize(
+    "kind", ["normal", "zero-interior", "tiny-interior", "integer", "constant", "scaled-2^-1000"]
+)
+def test_bit_identical_to_numpy_scalar_sweep_on_seeded_matrices(kind):
+    # A seeded generator rather than Hypothesis, whose draws depend on the
+    # literals of the loaded modules.  Between them the families split
+    # matrices inside a sweep and deflate two eigenvalues in one sweep.
+    rng = np.random.default_rng(27)
+    for _ in range(150):
+        _assert_bits_match_numpy_scalar_sweep(*_seeded_matrix(kind, rng))
+
+
+def test_subnormal_scale_raises_where_the_numpy_scalar_sweep_does():
+    # A rotation with f = g = 0 ends its sweep early.  e[i] is not 0 inside
+    # a sweep, so f = s * e[i] is 0 only through underflow, which products
+    # at the 2**-1040 scale do.  Rounding there also stalls many sweeps;
+    # the library must raise exactly where the oracle does.
+    rng = np.random.default_rng(1040)
+    raised = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        raised += _assert_bits_match_numpy_scalar_sweep(2.0**-1040 * d, 2.0**-1040 * e)
+    assert 0 < raised < 100
+
+
+def test_deflation_scan_runs_once_without_interior_splits(monkeypatch):
+    # the rotation loop finds every later m itself; a rescan before each
+    # sweep would call the scan once per sweep
+    calls = []
+    scan = tridiag._first_negligible
+
+    def spy(d, e, l, eps):
+        calls.append(l)
+        return scan(d, e, l, eps)
+
+    monkeypatch.setattr(tridiag, "_first_negligible", spy)
+    c = recurrence_coeffs(JacobiWeight(0.0, 0.0), 64)
+    out = eig_tridiag(c.a[:64], np.sqrt(c.b[1:64]))
+    assert np.all(np.diff(out.values) > 0.0)
+    assert calls == [0]
 
 
 @pytest.mark.parametrize(
