@@ -30,7 +30,7 @@ import numpy as np
 
 from .cubature import antigauss_cubature, averaged_cubature, gauss_cubature
 from .errors import AssemblyError, CapacityError, ConvergenceError, EvaluationError
-from .fredholm import _LATTICE, SpaceWeight, bracketing_check, condition_number_inf
+from .fredholm import _LATTICE, SpaceWeight, bracketing_check
 from .orthopoly import JacobiWeight, _size
 from . import testproblems as tp
 
@@ -202,15 +202,6 @@ def _case_from_json(path: str, allow_uncontained: bool) -> tuple:
 _SOLVE_REPORT = ("solver", "iters", "xi_g", "xi_a", "xi_avg", "gap_half_rel", "kappa_g", "kappa_a")
 
 
-def _kappa_or_skipped(key, sol):
-    # solve's condition number policy: the library's cap, no disk cache
-    sol = sol()
-    try:
-        return condition_number_inf(sol)
-    except CapacityError:
-        return "skipped"
-
-
 def cmd_solve(args) -> int:
     if args.case is not None:
         case, file_sizes = tp.get_case(args.case), (None, None)
@@ -223,8 +214,7 @@ def cmd_solve(args) -> int:
         raise ValueError("sizes required: pass --n1/--n2 or put n1/n2 in the file")
     n1, n2 = _size(n1, "n1"), _size(n2, "n2")
     vals = tp._row_values(
-        case, (n1, n2), {"lattice", *_SOLVE_REPORT}, args.solver or case.solver,
-        _kappa_or_skipped, tol=args.tol,
+        case, (n1, n2), {"lattice", *_SOLVE_REPORT}, args.solver or case.solver, tol=args.tol
     )
     vg, va = vals["lattice"]
     ref = tp._ref_grid(case)

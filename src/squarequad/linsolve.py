@@ -239,8 +239,6 @@ def lu_solve(op, b: np.ndarray) -> np.ndarray:
 def _as_matvec(op):
     if isinstance(op, SystemOperator):
         return op.matvec
-    if callable(op):
-        return op
     mat = np.asarray(op, dtype=float)
     return lambda v: mat @ v
 

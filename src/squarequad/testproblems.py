@@ -7,15 +7,15 @@ known solution: eq1 and the zero-kernel demo have closed forms, and eq2's,
 eq3's and eq4's come from small moment systems of their kernels interpolated
 in y (exact for eq2's and eq4's rank-2 kernels, converged to rounding for
 eq3's).  cub1 and cub2 are scored against a high-order Gauss cubature.
-Those two reference integrals are memoized in process and cached on disk
+Those two reference integrals are kept in process and cached on disk
 under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, one file per case.
 Each file holds the numpy version and the package sources byte for byte,
 and is read only when they equal the running code's; a file from other
 code is replaced in place.  Two checkouts sharing one directory therefore
 overwrite each other's file, and each still reads only its own results.
 Files may be deleted at any time; a cold cache regenerates
-deterministically.  The rows' condition numbers are memoized in process
-only.
+deterministically.  A row's condition numbers are computed afresh on
+every call, never cached.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .cubature import antigauss_cubature, gauss_cubature
+from .errors import CapacityError
 from .fredholm import (
     FredholmProblem,
     SpaceWeight,
@@ -535,13 +536,12 @@ def get_case(case_id: str) -> TestCase:
         raise ValueError(f"unknown case id {case_id!r}; known: {', '.join(CASES)}") from None
 
 
-# ----------------------------------------------------------- memo/disk cache
-
-_memo: dict = {}
-
+# ---------------------------------------------------------------- caches
 
 def clear_memo() -> None:
-    _memo.clear()
+    """Empty every in-process cache of this module; the disk files stay."""
+    for cached in (_ref_integral, _ref_grid, _degenerate_coeffs):
+        cached.cache_clear()
 
 
 def cache_dir() -> Path:
@@ -595,36 +595,27 @@ def _disk_store(case_id: str, key: str, value) -> None:
     os.replace(tmp, path)
 
 
-def _cached(case_id: str, key: str, build):
-    """Memo, then disk cache, then ``build`` with its result stored on disk."""
-    if (case_id, key) not in _memo:
-        value = _disk_get(case_id, key)
-        if value is None:
-            value = build()
-            _disk_store(case_id, key, value)
-        _memo[case_id, key] = value
-    return _memo[case_id, key]
-
-
 # ---------------------------------------------------------------- table rows
 
+@cache
 def _ref_integral(case) -> float:
-    def build():
+    """A cubature case's reference integral: the disk cache, else built and stored."""
+    value = _disk_get(case.id, "ref_integral")
+    if value is None:
         m1, m2 = case.reference
-        return gauss_cubature(case.w1, case.w2, m1, m2).apply(case.integrand)
+        value = gauss_cubature(case.w1, case.w2, m1, m2).apply(case.integrand)
+        _disk_store(case.id, "ref_integral", value)
+    return float(value)
 
-    return float(_cached(case.id, "ref_integral", build))
 
-
+@cache
 def _ref_grid(case) -> np.ndarray:
     """Weighted exact-solution values on the comparison lattice; None without one."""
     if case.exact is None:
         return None
-    if (case.id, "exact_grid") not in _memo:
-        grid = _lattice_values(case.exact, case.u)
-        grid.setflags(write=False)
-        _memo[case.id, "exact_grid"] = grid
-    return _memo[case.id, "exact_grid"]
+    grid = _lattice_values(case.exact, case.u)
+    grid.setflags(write=False)  # the cached result is shared by every caller
+    return grid
 
 
 _METRIC_ORDER = (
@@ -633,7 +624,7 @@ _METRIC_ORDER = (
 )
 
 
-def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
+def _row_values(case, size, wanted, solver, tol=1e-14) -> dict:
     """A row's ``wanted`` values from one rule pair or one solution pair.
 
     The only code that solves an equation row, for the tables and for
@@ -641,13 +632,12 @@ def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
     "lattice", the Gauss and companion values on the comparison lattice,
     and "solver", the solvers that ran ("gauss/companion" where they
     differ).  ``iters`` is None after a direct solve, and there are no xi
-    without a known solution.  ``kappa(key, sol)`` is the caller's
-    condition number policy; ``sol()`` solves on first call, so a cached
-    condition number needs no solve.
+    without a known solution.  A condition number above the library's cap
+    is "skipped".
 
     The rule kinds are solved one at a time, each at most once and the
     companion first: a solution lives only until what is wanted of it is
-    read.  No anti-Gauss solve runs unless a wanted value reads it.
+    read.  No rule kind is solved unless a wanted value reads it.
     """
     n1, n2 = size
     if case.kind == "cubature":
@@ -662,21 +652,28 @@ def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
     values, lattice = {}, {}
 
     def read(kind, kappa_key):
-        # the solution is built on first need and dies when this returns
-        sol = cache(partial(
-            solve_nystrom, case.problem(), n1, n2, rulekind=kind, solver=solver, tol=tol,
+        # the solution dies when this returns
+        iters = kind == "gauss" and "iters" in wanted
+        if not (on_lattice or iters or kappa_key in wanted or "solver" in wanted):
+            return
+        sol = solve_nystrom(
+            case.problem(), n1, n2, rulekind=kind, solver=solver, tol=tol,
             allow_uncontained=case.allow_uncontained,
-        ))
+        )
         if on_lattice:
-            lattice[kind] = _lattice_values(sol())
+            lattice[kind] = _lattice_values(sol)
         if kappa_key in wanted:
-            values[kappa_key] = kappa(kappa_key, sol)
+            try:
+                values[kappa_key] = condition_number_inf(sol)
+            except CapacityError:
+                values[kappa_key] = "skipped"
         if "solver" in wanted:
             # the companion's is read first: "gauss/companion" where they differ
-            ran, first = sol().solver, values.get("solver", sol().solver)
+            ran = sol.solver
+            first = values.get("solver", ran)
             values["solver"] = ran if ran == first else f"{ran}/{first}"
-        if kind == "gauss" and "iters" in wanted:
-            values["iters"] = sol().iterations
+        if iters:
+            values["iters"] = sol.iterations
 
     # the companion system, one point larger per axis, first: a lattice
     # evaluation leaves its row blocks in the heap, under the next assembly
@@ -689,18 +686,6 @@ def _row_values(case, size, wanted, solver, kappa, tol=1e-14) -> dict:
             for key, v in (("xi_g", vg), ("xi_a", va), ("xi_avg", 0.5 * (vg + va))):
                 values[key] = relative_error(v, ref)
     return values
-
-
-def _table_kappa(case, size, key, sol) -> float:
-    """The tables' condition number policy: the library's cap, in-process memo.
-
-    A disk round trip would cost more than the computation: each store
-    rewrites the case's whole file, and each read loads all of it.
-    """
-    memo_key = case.id, f"{key}_{size[0]}_{size[1]}"
-    if memo_key not in _memo:
-        _memo[memo_key] = condition_number_inf(sol())
-    return _memo[memo_key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -752,7 +737,7 @@ def run_case(case_id: str, sizes=None, metrics=None, solver=None) -> CaseReport:
         names = [m for m in _METRIC_ORDER if m in table and (metrics is None or m in metrics)]
         if not names:
             continue
-        values = _row_values(case, size, set(names), solver, partial(_table_kappa, case, size))
+        values = _row_values(case, size, set(names), solver)
         for metric in names:
             expected = table[metric]
             computed = float(-1 if values[metric] is None else values[metric])

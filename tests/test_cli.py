@@ -301,7 +301,6 @@ for name, argv in commands.items():
     os.environ["SQUAREQUAD_CACHE"] = str(root / f"{name}.cache")
     tp.clear_memo()
     rules._rule_cached.cache_clear()
-    tp._degenerate_coeffs.cache_clear()
     run(name, argv)
 os.environ["SQUAREQUAD_CACHE"] = str(root / f"{warm}.cache")
 run("warm", commands[warm])

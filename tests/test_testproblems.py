@@ -239,13 +239,41 @@ def test_row_drops_each_solution_before_the_next_solve(monkeypatch):
     assert alive_at_solve == [0, 0]
 
 
-def test_cached_kappa_needs_no_solve(monkeypatch):
-    tp.clear_memo()
-    run_case("eq1", sizes=[(2, 2)], metrics=["kappa_g", "kappa_a"])
+@pytest.mark.parametrize("key, kind", [("kappa_a", "antigauss"), ("kappa_g", "gauss")])
+def test_kappa_row_solves_only_the_kind_it_reads(monkeypatch, key, kind):
     kinds = _count_solves(monkeypatch)
-    report = run_case("eq1", sizes=[(2, 2)], metrics=["kappa_g", "kappa_a"])
-    assert kinds == []
-    assert [r.metric for r in report.rows] == ["kappa_g", "kappa_a"]
+    report = run_case("eq1", sizes=[(2, 2)], metrics=[key])
+    assert kinds == [kind]
+    assert [r.metric for r in report.rows] == [key]
+
+
+def test_each_wanted_kappa_costs_one_condition_number(monkeypatch):
+    # no kappa is cached: a row that runs again computes its kappa again
+    calls = []
+    kappa = tp.condition_number_inf
+
+    def spy(sol):
+        calls.append(sol.rulekind)
+        return kappa(sol)
+
+    monkeypatch.setattr(tp, "condition_number_inf", spy)
+    for _ in range(2):
+        run_case("eq1", sizes=[(2, 2)], metrics=["kappa_g", "kappa_a"])
+    assert calls == ["antigauss", "gauss"] * 2
+
+
+def test_clear_memo_empties_every_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
+    caches = (tp._ref_integral, tp._ref_grid, tp._degenerate_coeffs)
+    run_case("cub1", sizes=[(4, 8)])
+    tp._ref_grid(get_case("eq2"))
+    assert all(c.cache_info().currsize > 0 for c in caches)
+    tp.clear_memo()
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
+    hits = _disk_hits(monkeypatch)
+    run_case("cub1", sizes=[(4, 8)])
+    assert hits == [True]
+    tp.clear_memo()
 
 
 @pytest.mark.parametrize("solver", ["gmres-sk", "stein"])
