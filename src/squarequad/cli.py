@@ -30,7 +30,7 @@ import numpy as np
 
 from .cubature import antigauss_cubature, averaged_cubature, gauss_cubature
 from .errors import AssemblyError, CapacityError, ConvergenceError, EvaluationError
-from .fredholm import _LATTICE, SpaceWeight, bracketing_check
+from .fredholm import _LATTICE, SpaceWeight
 from .orthopoly import JacobiWeight, _size
 from . import testproblems as tp
 
@@ -195,11 +195,13 @@ def _case_from_json(path: str, allow_uncontained: bool) -> tuple:
         rhs_id=ident("rhs", doc["rhs"], tp.RHS), mult=num("mult", 1.0),
         allow_uncontained=allow_uncontained,
     )
+    case.problem()  # admissibility is checked before the sizes are read
     return case, (doc.get("n1"), doc.get("n2"))
 
 
 # the row values that solve reports, in report order
-_SOLVE_REPORT = ("solver", "iters", "xi_g", "xi_a", "xi_avg", "gap_half_rel", "kappa_g", "kappa_a")
+_SOLVE_REPORT = ("solver", "iters", "xi_g", "xi_a", "xi_avg", "gap_half_rel", "kappa_g", "kappa_a",
+                 "fraction_between", "sign_changes")
 
 
 def cmd_solve(args) -> int:
@@ -207,7 +209,6 @@ def cmd_solve(args) -> int:
         case, file_sizes = tp.get_case(args.case), (None, None)
     else:
         case, file_sizes = _case_from_json(args.problem, args.allow_uncontained)
-    prob = case.problem()
     n1 = file_sizes[0] if args.n1 is None else args.n1
     n2 = file_sizes[1] if args.n2 is None else args.n2
     if n1 is None or n2 is None:
@@ -216,23 +217,13 @@ def cmd_solve(args) -> int:
     vals = tp._row_values(
         case, (n1, n2), {"lattice", *_SOLVE_REPORT}, args.solver or case.solver, tol=args.tol
     )
-    vg, va = vals["lattice"]
-    ref = tp._ref_grid(case)
-    if ref is None:
-        # no xi without a reference: the half-gap bounds the averaged error
-        # when the interpolants bracket the solution
-        vals["gap_half_rel"] = float(
-            0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
-        )
-    report = {"n1": n1, "n2": n2}
     # iters is None after a direct solve; a row has either xi or the half-gap
+    report = {"n1": n1, "n2": n2}
     report.update((k, vals[k]) for k in _SOLVE_REPORT if vals.get(k) is not None)
-    br = bracketing_check(vg, va, ref=ref)
-    report["fraction_between"] = "n/a" if br.fraction_between is None else br.fraction_between
-    report["sign_changes"] = int(np.count_nonzero(np.diff(np.sign(br.sign))))
 
     if args.out is not None:
-        uvals = prob.u.eval(*_LATTICE)
+        vg, va = vals["lattice"]
+        uvals = case.u.eval(*_LATTICE)
         fG, fA = vg / uvals, va / uvals
         cols = (*_LATTICE, fG, fA, 0.5 * (fG + fA))
         grid = [[_fmt(v) for v in row] for row in zip(*(c.ravel() for c in cols))]

@@ -488,10 +488,10 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
     gy = _rhs_values(prob, y1f, y2f)
 
     acc = np.empty(y1f.size)
+    u1, u2 = _axis_weight_values(prob, rule)
     if prob.separable:
         # axis-factored sum keeps memory linear in the rule size
         z1, z2 = rule.rule1.nodes, rule.rule2.nodes
-        u1, u2 = _axis_weight_values(prob, rule)
         # D = (lambda / u) a on the grid, Fortran-ordered like fold(a): both
         # sums below round by the layout of D
         lam = np.multiply.outer(rule.rule2.weights, rule.rule1.weights).T
@@ -510,26 +510,27 @@ def interpolant_eval(sol: NystromSolution, y1, y2, unweighted: bool = True):
                 A1 = _axis_block(prob, 1, z1, y1f[lo:hi])
                 A2 = _axis_block(prob, 2, z2, y2f[lo:hi])
                 acc[lo:hi] = prob.mult * np.sum((A1 @ D) * A2, axis=1)
-    elif prob.kernel_nodes is not None:
-        da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
-        # einsum adds in one fixed order; BLAS would round by the thread count
-        c = np.einsum("ij,j->i", _declared_values(prob, rule.nodes1, rule.nodes2), da)
-        acc = np.einsum("ij,j->i", _declared_basis(prob, y1f, y2f), c)
     else:
-        da = (rule.weights / prob.u.eval(rule.nodes1, rule.nodes2)) * sol.coeffs
-        for lo, hi in row_blocks(y1f.size, rule.npoints):
-            kb = prob.kernel_values(
-                rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]
-            )
-            # einsum adds each row in one fixed order; a BLAS gemv would round
-            # by the block's row count and the thread count
-            acc[lo:hi] = np.einsum("ij,j->i", kb, da)
-        bad = ~np.isfinite(acc)
-        if np.any(bad):
-            # a non-finite kernel value spoils the sum at its point, so only the
-            # first such point is evaluated again through the checked block
-            i = int(np.argmax(bad))
-            _kernel_block(prob, rule.nodes1, rule.nodes2, y1f[i : i + 1], y2f[i : i + 1])
+        # (lambda / u) a from u's n1 + n2 axis values, as assembly forms d
+        da = (rule.weights / (np.tile(u1, u2.size) * np.repeat(u2, u1.size))) * sol.coeffs
+        if prob.kernel_nodes is not None:
+            # einsum adds in one fixed order; BLAS would round by the thread count
+            c = np.einsum("ij,j->i", _declared_values(prob, rule.nodes1, rule.nodes2), da)
+            acc = np.einsum("ij,j->i", _declared_basis(prob, y1f, y2f), c)
+        else:
+            for lo, hi in row_blocks(y1f.size, rule.npoints):
+                kb = prob.kernel_values(
+                    rule.nodes1[None, :], rule.nodes2[None, :], y1f[lo:hi, None], y2f[lo:hi, None]
+                )
+                # einsum adds each row in one fixed order; a BLAS gemv would round
+                # by the block's row count and the thread count
+                acc[lo:hi] = np.einsum("ij,j->i", kb, da)
+            bad = ~np.isfinite(acc)
+            if np.any(bad):
+                # a non-finite kernel value spoils the sum at its point, so only the
+                # first such point is evaluated again through the checked block
+                i = int(np.argmax(bad))
+                _kernel_block(prob, rule.nodes1, rule.nodes2, y1f[i : i + 1], y2f[i : i + 1])
     fu = (gy * uy + uy * acc).reshape(shape)
 
     if not unweighted:

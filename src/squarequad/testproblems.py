@@ -9,13 +9,13 @@ in y (exact for eq2's and eq4's rank-2 kernels, converged to rounding for
 eq3's).  cub1 and cub2 are scored against a high-order Gauss cubature.
 Those two reference integrals are kept in process and cached on disk
 under SQUAREQUAD_CACHE, default ``~/.cache/squarequad``, one file per case.
-Each file holds the numpy version and the package sources byte for byte,
-and is read only when they equal the running code's; a file from other
-code is replaced in place.  Two checkouts sharing one directory therefore
-overwrite each other's file, and each still reads only its own results.
-Files may be deleted at any time; a cold cache regenerates
-deterministically.  A row's condition numbers are computed afresh on
-every call, never cached.
+Each file holds that value, the numpy version and the package sources byte
+for byte, and is read only when they equal the running code's; a file from
+other code is replaced in place.  Two checkouts sharing one directory
+therefore overwrite each other's file, and each still reads only its own
+results.  Files may be deleted at any time; a cold cache regenerates
+deterministically.  ``_row_values`` computes every value of a table row or
+a ``squarequad solve`` report; condition numbers afresh on every call.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .fredholm import (
     SpaceWeight,
     _lagrange_basis,
     _lattice_values,
+    bracketing_check,
     condition_number_inf,
     relative_error,
     solve_nystrom,
@@ -566,32 +567,23 @@ def _cache_file(case_id: str) -> Path:
     return cache_dir() / f"case-{case_id}.npz"
 
 
-def _disk_load(case_id: str) -> dict:
-    """The case file's entries; {} when it is missing, corrupt or from other code."""
-    path = _cache_file(case_id)
-    if not path.exists():
-        return {}
-    try:
-        with np.load(path) as z:
-            if not np.array_equal(z["code"], _code_key()):
-                return {}
-            return {k: z[k] for k in z.files if k != "code"}
-    except Exception:
-        return {}  # a corrupt cache regenerates
-
-
 def _disk_get(case_id: str, key: str):
-    return _disk_load(case_id).get(key)
+    """The case file's value; None when it is missing, corrupt, from other code or another key's."""
+    try:
+        with np.load(_cache_file(case_id)) as z:
+            if key in z.files and np.array_equal(z["code"], _code_key()):
+                return z[key]
+    except Exception:
+        pass  # a missing or corrupt cache regenerates
+    return None
 
 
 def _disk_store(case_id: str, key: str, value) -> None:
-    data = _disk_load(case_id)
-    data[key] = np.asarray(value)
     path = _cache_file(case_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     # one temporary per process: checkouts sharing the directory share the name
     tmp = path.with_suffix(f".{os.getpid()}.tmp.npz")
-    np.savez(tmp, code=_code_key(), **data)
+    np.savez(tmp, code=_code_key(), **{key: value})
     os.replace(tmp, path)
 
 
@@ -629,11 +621,13 @@ def _row_values(case, size, wanted, solver, tol=1e-14) -> dict:
 
     The only code that solves an equation row, for the tables and for
     ``squarequad solve``.  Besides the table metrics, ``wanted`` may name
-    "lattice", the Gauss and companion values on the comparison lattice,
-    and "solver", the solvers that ran ("gauss/companion" where they
-    differ).  ``iters`` is None after a direct solve, and there are no xi
-    without a known solution.  A condition number above the library's cap
-    is "skipped".
+    "lattice", the Gauss and companion values on the comparison lattice;
+    "solver", the solvers that ran ("gauss/companion" where they differ);
+    and, on that lattice, "fraction_between", "sign_changes" (along y2)
+    and "gap_half_rel" of the two interpolants.  Without a known solution
+    there are no xi and fraction_between is "n/a"; with one there is no
+    gap_half_rel.  ``iters`` is None after a direct solve.  A condition
+    number above the library's cap is "skipped".
 
     The rule kinds are solved one at a time, each at most once and the
     companion first: a solution lives only until what is wanted of it is
@@ -648,7 +642,10 @@ def _row_values(case, size, wanted, solver, tol=1e-14) -> dict:
         ref = _ref_integral(case)
         return {"r_g": ref - g, "r_a": ref - a, "r_avg": ref - 0.5 * (g + a), "r_est": 0.5 * (a - g)}
 
-    on_lattice = "lattice" in wanted or not wanted.isdisjoint(("xi_g", "xi_a", "xi_avg"))
+    bracketing = not wanted.isdisjoint(("fraction_between", "sign_changes"))
+    on_lattice = bracketing or not wanted.isdisjoint(
+        ("lattice", "xi_g", "xi_a", "xi_avg", "gap_half_rel")
+    )
     values, lattice = {}, {}
 
     def read(kind, kappa_key):
@@ -685,6 +682,16 @@ def _row_values(case, size, wanted, solver, tol=1e-14) -> dict:
         if ref is not None:
             for key, v in (("xi_g", vg), ("xi_a", va), ("xi_avg", 0.5 * (vg + va))):
                 values[key] = relative_error(v, ref)
+        elif "gap_half_rel" in wanted:
+            # no xi without a reference: the half-gap bounds the averaged
+            # error when the interpolants bracket the solution
+            values["gap_half_rel"] = float(
+                0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
+            )
+        if bracketing:
+            br = bracketing_check(vg, va, ref=ref)
+            values["fraction_between"] = "n/a" if ref is None else br.fraction_between
+            values["sign_changes"] = int(np.count_nonzero(np.diff(br.sign)))
     return values
 
 

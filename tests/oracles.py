@@ -205,3 +205,81 @@ def jacobi_matrix_rule_mp(alpha, beta, n, bordered=False, digits=40):
         weights = np.array([float(b[0] * vectors[0, i] ** 2) for i in range(m)])
     order = np.argsort(nodes)
     return nodes[order], weights[order]
+
+
+# ROADMAP's manufactured kernel pair k1 = 1 + 0.5 x y + 0.25 x^2 and
+# k2 = 0.5 - 0.3 x + 0.2 x y, each axis factor a sum of terms P(x) Q(y)
+# given as the monomial coefficients of P and Q
+MANUFACTURED_PAIR = (
+    (((1.0, 0.0, 0.25), (1.0,)), ((0.0, 0.5), (0.0, 1.0))),
+    (((0.5, -0.3), (1.0,)), ((0.0, 0.2), (0.0, 1.0))),
+)
+
+# the declared kernel k1(x1, y1) k2(x2, y2) + 0.1 x1 x2 (1 + y2): affine in
+# y1 and in y2, so its Lagrange interpolant on these y nodes is exact
+MANUFACTURED_Y_NODES = (np.array([-0.5, 0.5]), np.array([0.0, 1.0]))
+_MANUFACTURED_EXTRA = ((0.0, 0.1), (1.0,), (0.0, 1.0), (1.0, 1.0))
+
+
+def _polyval(c, x):
+    return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
+
+
+def _axis_kernel(terms):
+    return lambda x, y: sum(_polyval(px, x) * _polyval(qy, y) for px, qy in terms)
+
+
+def manufactured_problem(rng, declared, mult=0.3):
+    """A Fredholm problem whose solution is a known polynomial.
+
+    Draws contained Jacobi weights with exponents in (-0.5, 1.5), an
+    admissible space weight and a solution f(x1, x2) = p(x1) q(x2) of two
+    random cubics.  The kernel is ``MANUFACTURED_PAIR``, or with
+    ``declared`` the 2D kernel with ``MANUFACTURED_Y_NODES``.  The rhs
+    g = f - mult K f takes the integrals of K f from the closed-form Jacobi
+    moments of ``integral_poly``, never from a quadrature rule.  Returns
+    (problem, f): a Nystrom rule that integrates w k f exactly in x, degree
+    5 per axis here, reproduces f up to rounding.
+    """
+    from squarequad import FredholmProblem, JacobiWeight, SpaceWeight
+    from squarequad.rules import nodes_contained
+
+    axes = []
+    for _ in range(2):
+        w = JacobiWeight(*rng.uniform(-0.5, 1.5, 2))
+        while not nodes_contained(w):
+            w = JacobiWeight(*rng.uniform(-0.5, 1.5, 2))
+        axes.append((w, rng.uniform(0.0, 1.0, 2) * (np.array([w.alpha, w.beta]) + 1.0)))
+    (w1, (g1, d1)), (w2, (g2, d2)) = axes
+    p, q = rng.standard_normal((2, 4))
+    # terms P1(x1) Q1(y1) P2(x2) Q2(y2) of the kernel
+    terms = [(p1, q1, p2, q2) for p1, q1 in MANUFACTURED_PAIR[0]
+             for p2, q2 in MANUFACTURED_PAIR[1]]
+    if declared:
+        terms.append(_MANUFACTURED_EXTRA)
+    pm = np.polynomial.polynomial.polymul
+    moments = [
+        integral_poly(np.outer(pm(p1, p), pm(p2, q)), w1.alpha, w1.beta, w2.alpha, w2.beta)
+        for p1, _, p2, _ in terms
+    ]
+
+    def f(y1, y2):
+        return _polyval(p, y1) * _polyval(q, y2)
+
+    def rhs(y1, y2):
+        kf = sum(m * _polyval(q1, y1) * _polyval(q2, y2)
+                 for m, (_, q1, _, q2) in zip(moments, terms))
+        return f(y1, y2) - mult * kf
+
+    u = SpaceWeight(g1, d1, g2, d2)
+    if declared:
+        def kernel(x1, x2, y1, y2):
+            return sum(
+                _polyval(p1, x1) * _polyval(q1, y1) * _polyval(p2, x2) * _polyval(q2, y2)
+                for p1, q1, p2, q2 in terms
+            )
+
+        kernel.y_nodes = MANUFACTURED_Y_NODES
+        return FredholmProblem(w1, w2, u, rhs, kernel=kernel, mult=mult), f
+    pair = tuple(_axis_kernel(t) for t in MANUFACTURED_PAIR)
+    return FredholmProblem(w1, w2, u, rhs, kernel_pair=pair, mult=mult), f

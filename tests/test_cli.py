@@ -268,6 +268,9 @@ _THREAD_COMMANDS = {
     "reproduce-6": ["reproduce", "6"],
     "integrate-cub2": ["integrate", "--case", "cub2", "--n1", "8", "--n2", "8"],
     "solve-eq2-out": ["solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.csv"],
+    "solve-eq2-json-out": [
+        "solve", "--case", "eq2", "--n1", "16", "--n2", "16", "--out", "grid.json", "--format", "json",
+    ],
     "solve-eq3-256-out": ["solve", "--case", "eq3", "--n1", "256", "--n2", "256", "--out", "grid.csv"],
     "solve-eq4-out": ["solve", "--case", "eq4", "--n1", "64", "--n2", "16", "--out", "grid.csv"],
     "solve-eq1-out": ["solve", "--case", "eq1", "--n1", "8", "--n2", "8", "--out", "grid.csv"],

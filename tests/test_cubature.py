@@ -1,6 +1,7 @@
 """Tensor-product cubature, error estimation, bracketing diagnostics."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,18 @@ def test_bracketing_diagnostic_reconstructs_rule_errors():
     ra = ref - antigauss_cubature(LEG, LEG, n1, n2).apply(f)
     assert -rep.S + rep.E1 == pytest.approx(rg, rel=1e-8, abs=1e-13)
     assert rep.S + rep.E2 == pytest.approx(ra, rel=1e-8, abs=1e-13)
+
+
+def test_bracketing_diagnostic_names_a_nonfinite_coefficient_node():
+    # the coefficients run on Gauss rules of cutoff + 9 points per axis
+    w1 = JacobiWeight(0.5, -0.25)
+    x1, x2 = gauss_rule(w1, 10 + 9).nodes[4], gauss_rule(LEG, 12 + 9).nodes[7]
+    f = lambda a, b: np.where((a == x1) & (b == x2), np.nan, np.cos(a + b))
+    with pytest.raises(EvaluationError, match=re.escape(
+        f"integrand not finite at ({x1:.17g}, {x2:.17g})"
+    )) as err:
+        bracketing_diagnostic(f, w1, LEG, 2, 2, cutoffs=(10, 12))
+    assert err.value.node == (x1, x2)
 
 
 def test_chebyshev_terms_match_general_diagnostic():

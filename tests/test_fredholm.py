@@ -33,6 +33,8 @@ from squarequad import (
 from squarequad.cli import main as cli_main
 from squarequad.testproblems import KERNELS_1D, RHS, get_case
 
+from oracles import manufactured_problem
+
 
 def _grid(npts=50):
     pts = -1.0 + 2.0 * (np.arange(1, npts + 1) - 0.5) / npts
@@ -210,6 +212,33 @@ def test_relative_error_identities():
     y1, y2 = _grid(50)
     den = np.max(np.abs(exact(y1, y2) * u.eval(y1, y2)))
     assert relative_error(shifted, exact, u=u) == pytest.approx(0.25 / den, rel=1e-12)
+
+
+def test_relative_error_takes_u_from_the_solution():
+    # a plain callable is weighted with the u of the solution beside it
+    case = get_case("eq3")
+    sol = solve_nystrom(case.problem(), 8, 8, solver=case.solver)
+    assert relative_error(sol, case.exact) == relative_error(sol, case.exact, u=case.u)
+    assert relative_error(case.exact, sol) == relative_error(case.exact, sol, u=case.u)
+
+
+def test_relative_error_rejects_an_identically_zero_reference():
+    sol = solve_nystrom(get_case("eq1").problem(), 4, 4)
+    with pytest.raises(ValueError, match="reference is identically zero on the comparison grid"):
+        relative_error(sol, np.zeros(sq.fredholm._LATTICE[0].shape))
+
+
+def test_plain_value_where_the_space_weight_vanishes_raises():
+    # eq2's u has the factor 1 - y1: the weighted value extends to y1 = 1,
+    # the plain value is not defined there
+    case = get_case("eq2")
+    sol = solve_nystrom(case.problem(), 4, 4, solver=case.solver)
+    fu, _ = interpolant_eval(sol, 1.0, 0.25, unweighted=False)
+    assert fu == 0.0
+    with pytest.raises(ValueError, match=re.escape(
+        "plain value requested at (1, 0.25) where the space weight vanishes"
+    )):
+        interpolant_eval(sol, np.array([0.5, 1.0]), 0.25)
 
 
 def test_condition_number_identity_and_cap():
@@ -685,6 +714,30 @@ def test_grid_space_weight_takes_its_axis_values_bit_for_bit(case, rulekind, mon
     assert np.array_equal(fu, want) and np.array_equal(np.signbit(fu), np.signbit(want))
 
 
+@pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+def test_nonseparable_sum_takes_u_at_the_rule_nodes_from_its_axis_values(
+    declared, rulekind, monkeypatch
+):
+    # (lambda / u) a needs u at the N rule nodes: from its n1 + n2 axis
+    # values, as assembly forms d, never from N point values
+    kernel = get_case("eq2").problem().kernel
+    prob = _eq2_with_kernel(kernel if declared else lambda *x: kernel(*x))
+    assert (prob.kernel_nodes is not None) == declared
+    sol = solve_nystrom(prob, 6, 5, rulekind=rulekind, solver="lu")
+    n1, n2 = sol.rule.rule1.npoints, sol.rule.rule2.npoints
+    seen = []
+    eval_axis = SpaceWeight.eval_axis
+
+    def spy(self, axis, x):
+        seen.append((axis, np.size(x)))
+        return eval_axis(self, axis, x)
+
+    monkeypatch.setattr(SpaceWeight, "eval_axis", spy)
+    interpolant_eval(sol, np.linspace(-0.9, 0.8, 7)[:, None], np.linspace(-0.7, 0.6, 4)[None, :])
+    assert sorted(seen) == sorted([(1, 7), (2, 4), (1, n1), (2, n2)])
+
+
 @pytest.mark.parametrize("axis", [1, 2])
 def test_grid_lattice_sum_rejects_a_nonfinite_axis_kernel(axis):
     # finite at every node pair, so the system assembles and solves
@@ -808,6 +861,35 @@ def test_bracketing_check_on_eq1():
     sa = solve_nystrom(prob, 4, 4, rulekind="antigauss")
     br = bracketing_check(sg, sa, ref=case.exact)
     assert br.fraction_between > 0.99
+
+
+# ---------------------------------------------------------------------------
+# manufactured polynomial problems
+
+
+# Every solve below integrates w k f exactly, so xi is rounding only: the
+# systems have kappa_inf below 100 and GMRES stops at a relative residual
+# of 1e-14.  The ROADMAP prototype read at most 4.3e-14 over 12 draws.
+_EXACT_XI = 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("declared, solvers", [
+    (False, ("lu", "gmres", "gmres-sk", "stein")),
+    (True, ("lu", "gmres", "gmres-fm")),
+], ids=["pair", "declared"])
+def test_manufactured_polynomial_solution_is_reproduced(seed, declared, solvers):
+    # n = 6 integrates the degree-5 integrand exactly; n = 2 (exact to
+    # degree 3) must fail the same bound, or the check could not fail
+    prob, f = manufactured_problem(np.random.default_rng(seed), declared)
+    for solver in solvers:
+        for rulekind in ("gauss", "antigauss"):
+            xi = {
+                n: relative_error(solve_nystrom(prob, n, n, rulekind=rulekind, solver=solver), f)
+                for n in (6, 2)
+            }
+            assert xi[6] < _EXACT_XI, (solver, rulekind, xi[6])
+            assert not xi[2] < _EXACT_XI, (solver, rulekind, xi[2])
 
 
 # ---------------------------------------------------------------------------

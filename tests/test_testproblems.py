@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -143,6 +144,18 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     tp.clear_memo()
 
 
+def test_case_file_holds_the_code_key_and_one_value(tmp_path, monkeypatch):
+    monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
+    path = tp._cache_file("cub1")
+    assert tp._disk_get("cub1", "a") is None  # no file yet
+    tp._disk_store("cub1", "a", 1.5)
+    tp._disk_store("cub1", "b", 2.5)  # replaces the file: one value per case
+    with np.load(path) as z:
+        assert z.files == ["code", "b"]
+    assert list(tmp_path.iterdir()) == [path]
+    assert (tp._disk_get("cub1", "a"), tp._disk_get("cub1", "b")) == (None, 2.5)
+
+
 def test_truncated_disk_cache_regenerates(tmp_path, monkeypatch):
     monkeypatch.setenv("SQUAREQUAD_CACHE", str(tmp_path))
     path = tmp_path / "case-cub1.npz"
@@ -185,6 +198,33 @@ def test_table_row_evaluates_each_solution_once(interpolant_evals):
     interpolant_evals.clear()
     run_case("eq3", sizes=[(16, 16)])
     assert sorted(interpolant_evals) == ["antigauss", "gauss"]
+
+
+def _bracketing(case):
+    return tp._row_values(
+        case, (8, 8), {"lattice", "gap_half_rel", "fraction_between", "sign_changes"}, "gmres-sk"
+    )
+
+
+def test_row_path_reports_the_bracketing_values():
+    # with a known solution: the share of lattice points between the two
+    # interpolants and the sign changes of their gap along y2, but no half-gap
+    case = get_case("eq3")
+    vals = _bracketing(case)
+    vg, va = vals["lattice"]
+    ref = tp._ref_grid(case)
+    assert "gap_half_rel" not in vals
+    between = (np.minimum(vg, va) <= ref) & (ref <= np.maximum(vg, va))
+    assert vals["fraction_between"] == float(np.mean(between)) == 1.0
+    changes = sum(int(a != b) for row in np.sign(vg - va) for a, b in zip(row, row[1:]))
+    assert vals["sign_changes"] == changes
+
+    # without one: the half-gap relative to the mean, and no share
+    blind = _bracketing(replace(case, exact=None))
+    assert blind["fraction_between"] == "n/a"
+    assert blind["sign_changes"] == changes
+    gap = 0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
+    assert blind["gap_half_rel"] == gap
 
 
 def _count_solves(monkeypatch):
