@@ -60,10 +60,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _weights_from_args(args) -> tuple:
-    return (
-        JacobiWeight(args.alpha1, args.beta1),
-        JacobiWeight(args.alpha2, args.beta2),
-    )
+    exps = (args.alpha1, args.beta1, args.alpha2, args.beta2)
+    a1, b1, a2, b2 = (0.0 if v is None else v for v in exps)
+    return JacobiWeight(a1, b1), JacobiWeight(a2, b2)
+
+
+def _refuse_with_case(args, names) -> None:
+    """ValueError naming each flag among ``names`` given next to --case."""
+    given = [n for n in names if getattr(args, n) is not None and getattr(args, n) is not False]
+    if given:
+        flags = ", ".join("--" + n.replace("_", "-") for n in given)
+        raise ValueError(f"case {args.case} sets its own weights and containment; drop {flags}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +131,7 @@ def cmd_rule(args) -> int:
 
 def cmd_integrate(args) -> int:
     if args.case is not None:
+        _refuse_with_case(args, ("alpha1", "beta1", "alpha2", "beta2", "allow_uncontained"))
         case = tp.get_case(args.case)
         if case.kind != "cubature":
             raise ValueError(f"case {args.case!r} is not a cubature case")
@@ -206,6 +214,7 @@ _SOLVE_REPORT = ("solver", "iters", "xi_g", "xi_a", "xi_avg", "gap_half_rel", "k
 
 def cmd_solve(args) -> int:
     if args.case is not None:
+        _refuse_with_case(args, ("allow_uncontained",))
         case, file_sizes = tp.get_case(args.case), (None, None)
     else:
         case, file_sizes = _case_from_json(args.problem, args.allow_uncontained)
@@ -322,10 +331,9 @@ def cmd_reproduce(args) -> int:
 
 
 def _add_weight_flags(p) -> None:
-    p.add_argument("--alpha1", type=float, default=0.0)
-    p.add_argument("--beta1", type=float, default=0.0)
-    p.add_argument("--alpha2", type=float, default=0.0)
-    p.add_argument("--beta2", type=float, default=0.0)
+    # None marks a flag not given (exponent 0), which --case can tell apart
+    for flag in ("--alpha1", "--beta1", "--alpha2", "--beta2"):
+        p.add_argument(flag, type=float, default=None, help="default 0")
 
 
 def _add_common(p) -> None:

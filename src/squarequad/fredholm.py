@@ -37,9 +37,8 @@ __all__ = [
     "bracketing_check",
 ]
 
-# the cross approximation's rank cap, and the largest system assembled as a
-# dense matrix, whether requested or as the fallback when no factors verify
-_ACA_RANK_CAP = 64
+# the largest system assembled as a dense matrix, whether requested or
+# because the kernel declares no y nodes to factor it with
 _DENSE_LIMIT = 5000
 
 # a declared degenerate kernel is checked on this many fixed-seed collocation
@@ -112,7 +111,8 @@ class FredholmProblem:
     A single kernel may declare itself degenerate in y through an attribute
     ``y_nodes = (t1, t2)``, two 1-d arrays of distinct nodes: it then equals
     its Lagrange interpolant on t1 x t2 in the point y, and assembly and
-    interpolation use those exact factors instead of cross approximation.
+    interpolation use those exact factors.  A kernel without the attribute
+    is evaluated at every (point, node) pair.
     """
 
     w1: JacobiWeight
@@ -284,13 +284,11 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     Every non-separable realization checks that declaration first, on a
     few fixed-seed rows of K, and raises AssemblyError where it fails;
     between those rows it is trusted.  ``factored`` stores these factors
-    from (P + 4) N kernel values.  An undeclared kernel gets cross factors
-    K ~= U V^T from ``linsolve.aca``, verified in one blocked sweep over
-    every row of K; when no factors of rank <= min(64, N / 2) pass, the
-    system falls back to ``dense``.  A dense system above 5000 unknowns,
-    requested or as the fallback, raises CapacityError before the matrix
-    is allocated.  A non-finite kernel value raises AssemblyError naming
-    its integration node.
+    from (P + 4) N kernel values.  An undeclared kernel has no factors, so
+    it gets the ``dense`` system whatever the realization asked for.  A
+    dense system above 5000 unknowns raises CapacityError before the
+    matrix is allocated.  A non-finite kernel value raises AssemblyError
+    naming its integration node.
     """
     if rule.kind not in ("gauss", "antigauss"):
         raise ValueError(f"assembly needs a tensor rule, got kind {rule.kind!r}")
@@ -319,34 +317,24 @@ def assemble_system(problem: FredholmProblem, rule: CubatureRule2D, realization:
     dflat = rule.weights / uflat
     x1f, x2f = rule.nodes1, rule.nodes2
     h = _rhs_values(problem, x1f, x2f) * uflat
-    N = n1 * n2
-
-    def entries(rows, cols):
-        return _kernel_block(problem, x1f[cols], x2f[cols], x1f[rows], x2f[rows])
-
-    def dense():
-        if N > _DENSE_LIMIT:
-            raise CapacityError(
-                f"a dense system of {N} unknowns exceeds {_DENSE_LIMIT}; only a kernel "
-                "pair or verified cross factors avoid the N x N matrix"
-            )
-        # I - Phi built in place: the roundings of np.eye(N) - (u K) d
-        # without its N x N temporaries
-        F = uflat[:, None] * entries(slice(None), slice(None))
-        F *= dflat[None, :]
-        diag = 1.0 - F.diagonal()
-        np.subtract(0.0, F, out=F)
-        np.fill_diagonal(F, diag)
-        return SystemOperator("dense", n1, n2, dense=F)
 
     factors = None if problem.kernel_nodes is None else _declared_factors(problem, x1f, x2f)
-    if realization == "dense":
-        return dense(), h
-    if factors is None:
-        factors = linsolve.aca(entries, N, min(_ACA_RANK_CAP, N // 2))
-        if factors is None:
-            return dense(), h
-    return SystemOperator("factored", n1, n2, u=uflat, d=dflat, factors=factors), h
+    if realization == "factored" and factors is not None:
+        return SystemOperator("factored", n1, n2, u=uflat, d=dflat, factors=factors), h
+    N = n1 * n2
+    if N > _DENSE_LIMIT:
+        raise CapacityError(
+            f"a dense system of {N} unknowns exceeds {_DENSE_LIMIT}; only a kernel "
+            "pair or declared y nodes avoid the N x N matrix"
+        )
+    # I - Phi built in place: the roundings of np.eye(N) - (u K) d without
+    # its N x N temporaries
+    F = uflat[:, None] * _kernel_block(problem, x1f, x2f, x1f, x2f)
+    F *= dflat[None, :]
+    diag = 1.0 - F.diagonal()
+    np.subtract(0.0, F, out=F)
+    np.fill_diagonal(F, diag)
+    return SystemOperator("dense", n1, n2, dense=F), h
 
 
 class NystromSolution:
@@ -383,7 +371,8 @@ def solve_nystrom(
 
     ``rulekind`` is ``gauss`` (n1 x n2 points) or ``antigauss`` (one more
     per axis).  Solvers: ``lu``, ``gmres`` (dense matvec), ``gmres-fm``
-    (low-rank matvec), ``gmres-sk`` and ``stein`` (separable kernels
+    (matvec through the factors of a kernel that declares its y nodes,
+    dense for any other), ``gmres-sk`` and ``stein`` (separable kernels
     only), or ``auto``.  ``stein`` falls back to ``gmres-sk`` whenever its
     iteration diverges or stalls; ``NystromSolution.solver`` names the
     solver that ran.

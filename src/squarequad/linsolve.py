@@ -4,16 +4,14 @@ The discrete operator is I - Phi acting on vectors indexed by the tensor
 grid, with axis 1 running fastest.  Three realizations trade memory for
 structure: a dense matrix, a factored form diag(u) U V^T diag(d) with
 rank-r kernel factors, and a separable form holding one small matrix per
-axis.  The kernel factors are exact for a kernel that declares its
-y-interpolation nodes (``fredholm`` builds those from the declaration);
-any other kernel gets them from adaptive cross approximation (``aca``).
+axis.  The kernel factors are the exact ones of a kernel that declares its
+y-interpolation nodes (``fredholm`` builds them from the declaration).
 A matvec-only GMRES and a squared-iteration Stein solver consume them.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ __all__ = [
     "fold",
     "SystemOperator",
     "KrylovStats",
-    "aca",
     "lu_solve",
     "gmres",
     "stein_solve",
@@ -37,13 +34,6 @@ __all__ = [
 # block.  The widest factored sweep a table reaches (N = 8721) still gets 7
 # rows per block; a one-row block rounds kappa differently
 _BLOCK_ENTRIES = 2**16
-
-# cross approximation: relative rounding level of its stopping test, and the
-# Gaussian probe that verifies the factors against every row of K
-_ACA_TOL = 1e-15
-_PROBE_COLUMNS = 4
-_PROBE_SEED = 20000
-_PROBE_RTOL = 1e-12
 
 # bytes the GMRES basis may hold: unrestarted, it keeps one N-vector per
 # iteration, so maxiter = N would let it grow to 8 N**2 bytes
@@ -86,7 +76,7 @@ class SystemOperator:
 
     - ``dense``: full matrix F, matvec costs 2 N^2 flops;
     - ``factored``: diag(u) U V^T diag(d) with rank-r kernel factors
-      K ~= U V^T, declared or from ``aca``, 4 N r + 3 N flops;
+      K = U V^T from the kernel's declared y nodes, 4 N r + 3 N flops;
     - ``separable``: Phi = kron(Phi2, Phi1), 2 N (n1 + n2) + N flops.
 
     ``flops`` accumulates the cost of every matvec issued; ``rank`` is r
@@ -152,82 +142,6 @@ class SystemOperator:
         if self.realization == "separable":
             return np.eye(self.N) - np.kron(self.phi2, self.phi1)
         return np.eye(self.N) - (self._u[:, None] * (self._U @ self._V.T)) * self._d[None, :]
-
-
-def aca(entries, N: int, rmax: int):
-    """Verified low-rank cross factors K ~= U V^T of an N x N matrix.
-
-    ``entries(rows, cols)`` returns the block of K at two slices.  Adaptive
-    cross approximation with partial pivoting (Bebendorf 2000) evaluates
-    one row and one column of the residual R = K - U V^T per step and adds
-    their cross; the next row pivot is the largest |u| among rows not yet
-    used.  It stops when a residual row is at the rounding level of its
-    own subtraction.  That test sees O(r N) entries only, so one blocked
-    sweep over every row of K then forms K Z for a fixed-seed Gaussian
-    probe Z (Halko, Martinsson & Tropp 2011, sec. 4.3) and E = R Z.  While
-    max |E| > _PROBE_RTOL max |K Z|, a further cross is taken at the row
-    where |E| is largest and E is updated without evaluating K again, so
-    residual rows that the pivots never visited are still found.  Returns
-    (U, V), or None when rmax crosses do not pass the probe.
-    """
-    rmax = min(rmax, N)
-    U = np.empty((N, rmax))
-    V = np.empty((N, rmax))
-    k = 0
-
-    def cross(i):
-        # residual row i and the column through its largest entry, or None
-        # when the row is zero up to the rounding of its k-term subtraction
-        krow = entries(slice(i, i + 1), slice(None))[0]
-        row = krow - V[:, :k] @ U[i, :k]
-        j = int(np.argmax(np.abs(row)))
-        noise = (k + 1) * _ACA_TOL * (np.max(np.abs(krow)) + np.sum(np.abs(U[i, :k])))
-        if abs(row[j]) <= noise:
-            return None
-        u = entries(slice(None), slice(j, j + 1))[:, 0] - U[:, :k] @ V[j, :k]
-        return u, row / row[j]
-
-    unused = np.ones(N, dtype=bool)
-    i = 0
-    while k < rmax:
-        unused[i] = False
-        uv = cross(i)
-        if uv is None:
-            break
-        U[:, k], V[:, k] = uv
-        i = int(np.argmax(np.where(unused, np.abs(U[:, k]), -1.0)))
-        k += 1
-    else:
-        return None
-
-    # copy the k used columns and free the rmax-wide buffers: views would pin
-    # 2 N rmax doubles for the operator's life, and releasing a mapped chunk
-    # this large raises glibc's mmap threshold above one block, so the
-    # sweep's block temporaries come from the heap instead of being mapped
-    # and page-faulted in afresh (a cold pass over eq2's rows (16,16),
-    # (64,16) and (256,16) took 23 k minor faults with the copy, 183 k
-    # without)
-    U, V = U[:, :k].copy(), V[:, :k].copy()
-    rng = random.Random(_PROBE_SEED)  # numpy.random costs 11 ms to import
-    Z = np.array([rng.gauss(0.0, 1.0) for _ in range(N * _PROBE_COLUMNS)]).reshape(N, -1)
-    KZ = np.empty((N, _PROBE_COLUMNS))
-    for lo, hi in row_blocks(N, N):
-        KZ[lo:hi] = entries(slice(lo, hi), slice(None)) @ Z
-    E = KZ - U @ (V.T @ Z)
-    bound = _PROBE_RTOL * np.max(np.abs(KZ))
-    while True:
-        err = np.max(np.abs(E), axis=1)
-        i = int(np.argmax(err))
-        if err[i] <= bound:
-            return U, V
-        uv = cross(i) if k < rmax else None
-        if uv is None:
-            return None
-        u, v = uv
-        U = np.column_stack([U, u])
-        V = np.column_stack([V, v])
-        E -= np.outer(u, v @ Z)
-        k += 1
 
 
 def lu_solve(op, b: np.ndarray) -> np.ndarray:
@@ -425,10 +339,9 @@ def condition_number_inf(op, cap: int = 4096) -> float:
     M = (I_r - B^T diag(u) U)^-1, is e_i + u_i (W_k M) B^T.  That costs
     O(K N r) time in row blocks of about 2**16 entries, so memory stays
     O(N r) plus one block.  K = N for a kernel that varies along both y
-    axes; eq2's kernel is constant in y1, and its U, declared or cross,
-    has one row per y2 node.  Other operators go through an
-    explicit inverse.  A plain array must be a finite square matrix, or
-    ValueError names its shape.
+    axes; eq2's kernel is constant in y1, and its declared U has one row
+    per y2 node.  Other operators go through an explicit inverse.  A plain
+    array must be a finite square matrix, or ValueError names its shape.
 
     ``cap`` bounds the work of the branch that runs, checked before any
     inverse or row sweep: an explicit inverse is refused above ``cap``

@@ -23,10 +23,12 @@ class JacobiWeight:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1.0):
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
-        if not (self.beta > -1.0):
-            raise ValueError(f"beta must exceed -1, got {self.beta}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (value > -1.0):
+                raise ValueError(f"{name} must exceed -1, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,31 @@ def recurrence_coeffs(w: JacobiWeight, n: int) -> RecurrenceCoeffs:
     -------
     RecurrenceCoeffs
         Read-only arrays of length n + 1.
+
+    Raises ValueError, before any coefficient is formed, when the total
+    mass of w overflows a double.
     """
     n = _size(n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     alpha, beta = float(w.alpha), float(w.beta)
     s = alpha + beta
+    # total mass 2^(s+1) B(alpha+1, beta+1), via log-gamma to dodge overflow
+    # in the factors; a mass beyond a double fails before any coefficient
+    try:
+        mass = math.exp(
+            (s + 1.0) * math.log(2.0)
+            + math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(s + 2.0)
+        )
+    except OverflowError:
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ValueError(
+            "total mass 2^(alpha+beta+1) B(alpha+1, beta+1) of the weight "
+            f"(alpha, beta) = ({alpha!r}, {beta!r}) overflows a double"
+        )
     j = np.arange(n + 1, dtype=float)
     a = np.zeros(n + 1)
     b = np.zeros(n + 1)
@@ -87,13 +108,7 @@ def recurrence_coeffs(w: JacobiWeight, n: int) -> RecurrenceCoeffs:
         den = (2.0 * j[1:] + s) * (2.0 * j[1:] + s + 2.0)
         a[1:] = (beta * beta - alpha * alpha) / den
 
-    # total mass 2^(s+1) B(alpha+1, beta+1), via log-gamma to dodge overflow
-    b[0] = math.exp(
-        (s + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(s + 2.0)
-    )
+    b[0] = mass
     if n >= 1:
         # the shared factor (1+s) is cancelled analytically: safe at s = -1
         b[1] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((s + 2.0) ** 2 * (s + 3.0))

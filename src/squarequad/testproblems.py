@@ -363,8 +363,8 @@ class TestCase:
     """One worked problem: inputs, reference recipe, expected-value rows.
 
     ``exact`` is the known solution that an equation case is scored
-    against.  ``reference`` gives the sizes of the Gauss cubature that a
-    cubature case (cub1, cub2) is scored against.
+    against.  A cubature case (cub1, cub2) is scored against the Gauss
+    cubature of sizes ``_REFERENCE_SIZES``.
     """
 
     id: str
@@ -380,7 +380,6 @@ class TestCase:
     mult: float = 1.0
     exact: object = None
     solver: str = "auto"
-    reference: tuple = ()
     allow_uncontained: bool = False
 
     def sizes(self) -> tuple:
@@ -406,7 +405,6 @@ CASES = {
         w1=JacobiWeight(-0.5, -0.5),
         w2=_LEGENDRE,
         integrand=_f_edge_sine_power,
-        reference=(512, 512),
         rows=(
             ((4, 8), _errrow("table1", 1.63e-03, -1.63e-03, 1.27e-07, 1.63e-03)),
             ((8, 8), _errrow("table1", -1.27e-07, 1.27e-07, 1.22e-10, -1.27e-07)),
@@ -421,7 +419,6 @@ CASES = {
         w1=JacobiWeight(0.5, 0.5),
         w2=JacobiWeight(-0.5, 0.0),
         integrand=_f_split_abs_power,
-        reference=(512, 512),
         allow_uncontained=True,  # second axis fails the node-containment test
         rows=(
             ((8, 8), _errrow("table2", -1.53e-05, 1.55e-05, 9.05e-08, -1.54e-05)),
@@ -589,13 +586,16 @@ def _disk_store(case_id: str, key: str, value) -> None:
 
 # ---------------------------------------------------------------- table rows
 
+# (n1, n2) of the Gauss cubature that scores both cubature cases
+_REFERENCE_SIZES = (512, 512)
+
+
 @cache
 def _ref_integral(case) -> float:
     """A cubature case's reference integral: the disk cache, else built and stored."""
     value = _disk_get(case.id, "ref_integral")
     if value is None:
-        m1, m2 = case.reference
-        value = gauss_cubature(case.w1, case.w2, m1, m2).apply(case.integrand)
+        value = gauss_cubature(case.w1, case.w2, *_REFERENCE_SIZES).apply(case.integrand)
         _disk_store(case.id, "ref_integral", value)
     return float(value)
 

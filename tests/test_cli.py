@@ -49,6 +49,18 @@ def test_rule_invalid_exponent_exits_2(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("command", [("rule",), ("integrate", "--integrand", "one")],
+                         ids=["rule", "integrate"])
+def test_weight_beyond_a_double_exits_2(capsys, command):
+    # 2^2001 B(2001, 1) overflows; an infinite exponent is refused by name
+    code, _, err = _run(capsys, *command, "--alpha1", "2000", "--n1", "2", "--n2", "2")
+    assert code == 2
+    assert "(alpha, beta) = (2000.0, 0.0) overflows a double" in err
+    code, _, err = _run(capsys, *command, "--alpha1", "inf", "--n1", "2", "--n2", "2")
+    assert code == 2
+    assert err == "squarequad: alpha must be finite, got inf\n"
+
+
 def test_rule_json_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):
@@ -119,6 +131,19 @@ def test_integrate_case_uses_its_containment_override(capsys):
     assert code == 2
     assert "allow_uncontained" in err
     assert _run(capsys, *argv, "--allow-uncontained")[0] == 0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("integrate", "--case", "cub1", "--alpha1", "3", "--beta2", "0.7"), "--alpha1, --beta2"),
+    (("integrate", "--case", "cub1", "--alpha2", "0"), "--alpha2"),
+    (("integrate", "--case", "cub2", "--allow-uncontained"), "--allow-uncontained"),
+    (("solve", "--case", "eq1", "--allow-uncontained"), "--allow-uncontained"),
+], ids=["integrate-weights", "integrate-zero-weight", "integrate-allow", "solve-allow"])
+def test_flags_a_case_would_ignore_exit_2(capsys, argv, named):
+    # a case brings its own weights and containment override
+    code, out, err = _run(capsys, *argv, "--n1", "4", "--n2", "4")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"drop {named}\n")
 
 
 def test_integrate_json_format(capsys):

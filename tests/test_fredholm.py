@@ -250,24 +250,15 @@ def test_condition_number_identity_and_cap():
 
 
 def test_factored_assembly_finds_nonfinite_entry_off_the_pivots():
+    # an undeclared kernel has no factors, so its factored request assembles
+    # the dense matrix; a NaN at one (collocation, integration) pair away
+    # from the diagonal is named by its node and point
     case = get_case("eq2")
     base = case.problem()
     rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
     x1, x2 = rule.nodes1, rule.nodes2
     N = x1.size
-    pivot_rows, pivot_cols = set(), set()
-
-    def entries(rows, cols):
-        if rows.stop is not None and rows.stop - rows.start == 1:
-            pivot_rows.add(rows.start)
-        if cols.stop is not None and cols.stop - cols.start == 1:
-            pivot_cols.add(cols.start)
-        return base.kernel_values(x1[None, cols], x2[None, cols], x1[rows, None], x2[rows, None])
-
-    assert sq.linsolve.aca(entries, N, min(sq.fredholm._ACA_RANK_CAP, N // 2)) is not None
-    # a (collocation, integration) pair in no pivot row and no pivot column
-    p = next(i for i in range(N // 2, N) if i not in pivot_rows)
-    q = next(j for j in range(N // 3, N) if j not in pivot_cols)
+    p, q = N // 2 + 3, N // 3 + 5
 
     def kernel(a1, a2, b1, b2):
         vals = base.kernel(a1, a2, b1, b2)
@@ -293,31 +284,14 @@ def _assert_factored_matches_dense(prob, rule, rank, rng):
     return op
 
 
-def test_rank_one_kernel_with_vanishing_first_row_stays_factored(rng):
-    w = JacobiWeight(-0.5, -0.5)
-    prob = FredholmProblem(
-        w, w, SpaceWeight(0.0, 0.0, 0.0, 0.0), RHS["exp-sin"],
-        kernel=lambda a1, a2, b1, b2: (1.0 + b1) * np.sin(a1 + a2),
-    )
-    rule = sq.antigauss_cubature(w, w, 8, 8)
-    # collocation row 0 sits at y1 = -1, so the first pivot row is all zeros
-    assert rule.nodes1[0] == -1.0
-    _assert_factored_matches_dense(prob, rule, 1, rng)
-
-
 def test_additive_kernel_stays_factored(rng):
-    # |x1 - y1| + |x2 - y2| has rank n1 + n2 - 1; after the first crosses its
-    # residual sits in rows that partial pivoting does not visit
-    case = get_case("eq2")
-    base = case.problem()
-    prob = FredholmProblem(
-        base.w1, base.w2, base.u, base.rhs, mult=base.mult,
-        kernel=lambda a1, a2, b1, b2: np.abs(a1 - b1) + np.abs(a2 - b2),
-    )
-    rule = sq.gauss_cubature(case.w1, case.w2, 16, 16)
-    op = _assert_factored_matches_dense(prob, rule, 31, rng)
+    # the manufactured declared kernel k1 k2 + 0.1 x1 x2 (1 + y2) varies
+    # along both y axes: rank 4 on the nodes ({-0.5, 0.5}, {0, 1})
+    prob, _ = manufactured_problem(np.random.default_rng(1), declared=True)
+    rule = sq.gauss_cubature(prob.w1, prob.w2, 6, 6)
+    op = _assert_factored_matches_dense(prob, rule, 4, rng)
     # no two collocation points share a row of U: kappa sweeps all N rows
-    assert len(sq.linsolve._distinct_rows(op._U)[2]) == op.N
+    assert len(sq.linsolve._distinct_rows(op._U)[2]) == op.N == 36
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +347,7 @@ def test_malformed_declaration_rejected():
             _eq2_with_kernel(_with_nodes(kernel, t1, t2))
 
 
-def test_declared_kernel_never_calls_aca(monkeypatch):
-    def no_aca(*args, **kwargs):
-        raise AssertionError("cross approximation ran on a declared kernel")
-
-    monkeypatch.setattr(sq.linsolve, "aca", no_aca)
+def test_declared_eq2_solves_at_rank_two_in_three_iterations():
     prob = get_case("eq2").problem()
     for rulekind in ("gauss", "antigauss"):
         sol = solve_nystrom(prob, 64, 16, rulekind=rulekind, solver="gmres-fm")
@@ -408,13 +378,14 @@ def test_declared_lattice_sum_evaluates_the_kernel_at_the_node_pairs_only():
 
 @pytest.mark.parametrize("rulekind", ["gauss", "antigauss"])
 @pytest.mark.parametrize("size", [(16, 16), (64, 16)], ids=["16x16", "64x16"])
-@pytest.mark.parametrize("declared", [True, False], ids=["declared", "aca"])
-def test_eq2_factors_match_the_dense_matvec(declared, size, rulekind, rng):
-    # cross factors take kernel columns, constant in y1 here as well, so
-    # their U repeats rows like the declared one: kappa sweeps n2 (+1) rows
-    base = get_case("eq2").problem()
-    prob = _eq2_with_kernel(base.kernel if declared else _undeclared(base.kernel))
-    assert (prob.kernel_nodes is not None) == declared
+# a declared kernel is the only form with factors; an undeclared one
+# assembles dense (test_high_rank_kernel_falls_back_to_dense)
+@pytest.mark.parametrize("form", ["declared"])
+def test_eq2_factors_match_the_dense_matvec(form, size, rulekind, rng):
+    # the declared U holds l_q(y2) only, as the kernel is constant in y1:
+    # kappa sweeps n2 (+1) rows
+    prob = get_case("eq2").problem()
+    assert prob.kernel_nodes is not None
     op = _assert_factored_matches_dense(prob, _eq2_rule(*size, rulekind), 2, rng)
     assert len(sq.linsolve._distinct_rows(op._U)[2]) == size[1] + (rulekind == "antigauss")
 
@@ -874,14 +845,21 @@ _EXACT_XI = 1e-13
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("declared, solvers", [
-    (False, ("lu", "gmres", "gmres-sk", "stein")),
-    (True, ("lu", "gmres", "gmres-fm")),
-], ids=["pair", "declared"])
-def test_manufactured_polynomial_solution_is_reproduced(seed, declared, solvers):
+@pytest.mark.parametrize("form, solvers", [
+    ("pair", ("lu", "gmres", "gmres-sk", "stein")),
+    ("declared", ("lu", "gmres", "gmres-fm")),
+    ("undeclared", ("lu", "gmres", "gmres-fm")),
+], ids=["pair", "declared", "undeclared"])
+def test_manufactured_polynomial_solution_is_reproduced(seed, form, solvers):
     # n = 6 integrates the degree-5 integrand exactly; n = 2 (exact to
-    # degree 3) must fail the same bound, or the check could not fail
-    prob, f = manufactured_problem(np.random.default_rng(seed), declared)
+    # degree 3) must fail the same bound, or the check could not fail.
+    # The undeclared form is the declared kernel as a plain callable, which
+    # every solver, gmres-fm included, assembles and sums pointwise
+    prob, f = manufactured_problem(np.random.default_rng(seed), form != "pair")
+    if form == "undeclared":
+        prob = FredholmProblem(prob.w1, prob.w2, prob.u, prob.rhs,
+                               kernel=_undeclared(prob.kernel), mult=prob.mult)
+        assert prob.kernel_nodes is None
     for solver in solvers:
         for rulekind in ("gauss", "antigauss"):
             xi = {

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import squarequad as sq
 from squarequad import ConvergenceError, fold, gmres, lu_solve, stein_solve, unfold
-from squarequad.linsolve import aca
 from squarequad.testproblems import get_case
 
 
@@ -260,33 +259,16 @@ def test_condition_number_rejects_bad_arrays_naming_the_shape(a, monkeypatch):
         sq.condition_number_inf(a)
 
 
-def test_aca_recovers_exact_low_rank(rng):
-    A = rng.standard_normal((40, 2))
-    B = rng.standard_normal((40, 2))
-    K = A @ B.T
-    U, V = aca(lambda rows, cols: K[rows, cols], 40, 20)
-    assert U.shape[1] == 2
-    assert np.max(np.abs(U @ V.T - K)) < 1e-13 * np.max(np.abs(K))
-    assert aca(lambda rows, cols: K[rows, cols], 40, 1) is None
-    U, V = aca(lambda rows, cols: np.zeros((40, 40))[rows, cols], 40, 20)
-    assert U.shape == (40, 0)
-
-
-def test_undeclared_factored_assembly_leaves_numpy_random_unloaded():
-    # the cross approximation's probe comes from the standard library
+def test_factored_assembly_leaves_numpy_random_unloaded():
+    # the declaration check draws its collocation rows from the standard
+    # library's generator
     code = """
 import sys
-import numpy as np
 import squarequad as sq
 from squarequad.testproblems import get_case
 case = get_case("eq2")
-base = case.problem()
-prob = sq.FredholmProblem(
-    base.w1, base.w2, base.u, base.rhs, mult=base.mult,
-    kernel=lambda a1, a2, b1, b2: np.abs(a1 - b1) + np.abs(a2 - b2),
-)
 rule = sq.gauss_cubature(case.w1, case.w2, 8, 8)
-op, _ = sq.assemble_system(prob, rule, realization="factored")
+op, _ = sq.assemble_system(case.problem(), rule, realization="factored")
 print(op.realization, op.rank, "numpy.random" in sys.modules)
 """
     src = Path(sq.__file__).resolve().parent.parent
@@ -294,7 +276,7 @@ print(op.realization, op.rank, "numpy.random" in sys.modules)
         [sys.executable, "-c", code], capture_output=True, check=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     ).stdout
-    assert out == "factored 15 False\n"
+    assert out == "factored 2 False\n"
 
 
 def test_stein_balances_unequal_factors():

@@ -1,5 +1,8 @@
 """Recurrence coefficients and orthonormal evaluation."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,20 @@ def test_invalid_exponents_rejected():
         JacobiWeight(-1.0, 0.0)
     with pytest.raises(ValueError):
         JacobiWeight(0.0, -1.5)
+
+
+def test_nonfinite_exponents_rejected():
+    with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+        JacobiWeight(math.inf, 0.0)
+    with pytest.raises(ValueError, match="beta must exceed -1, got nan"):
+        JacobiWeight(0.0, math.nan)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2000.0, 0.0), (0.5, 1e308), (1e308, 1e308)])
+def test_mass_overflow_names_the_weight(alpha, beta):
+    msg = f"of the weight (alpha, beta) = ({alpha!r}, {beta!r}) overflows a double"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        recurrence_coeffs(JacobiWeight(alpha, beta), 3)
 
 
 def test_legendre_diagonal_vanishes():
