@@ -120,10 +120,15 @@ class CubatureRule2D:
         return math.fsum(sums)
 
 
-def _tensorize(kind, w1, w2, n1, n2, allow_uncontained) -> CubatureRule2D:
+def _sizes(n1, n2):
     n1, n2 = _size(n1, "n1"), _size(n2, "n2")
     if n1 < 1 or n2 < 1:
         raise ValueError(f"rule sizes must be positive, got ({n1}, {n2})")
+    return n1, n2
+
+
+def _tensorize(kind, w1, w2, n1, n2, allow_uncontained) -> CubatureRule2D:
+    n1, n2 = _sizes(n1, n2)
     make = gauss_rule if kind == "gauss" else antigauss_rule
     r1, r2 = make(w1, n1), make(w2, n2)
     if not (r1.contained and r2.contained) and not allow_uncontained:
@@ -199,8 +204,10 @@ class BracketingReport:
     """Leading term S and competing remainders of the two rule errors.
 
     ``holds`` means the straddling condition max(|E1|, |E2|) < |S| was
-    met with the series truncated at ``cutoff1``/``cutoff2``.  The theta
-    fields are only filled by the Chebyshev specialization.
+    met with the series truncated at ``cutoff1``/``cutoff2``.  ``theta``
+    is the sign-free majorant max(theta_1, theta_2), each theta_k being
+    E_k's terms with |coefficients| and |moments|; ``holds_theta`` means
+    theta < |S|, which certifies straddling without cancellation.
     """
 
     S: float
@@ -209,16 +216,8 @@ class BracketingReport:
     holds: bool
     cutoff1: int
     cutoff2: int
-    theta: float | None = None
-    holds_theta: bool | None = None
-
-
-def _default_cutoffs(n1, n2, cutoffs):
-    if cutoffs is None:
-        m = 6 * max(n1, n2)
-        return m, m
-    m1, m2 = cutoffs
-    return _size(m1, "cutoff1"), _size(m2, "cutoff2")
+    theta: float
+    holds_theta: bool
 
 
 def _coefficient_matrix(f, w1, w2, m1, m2):
@@ -261,9 +260,13 @@ def bracketing_diagnostic(f, w1, w2, n1, n2, cutoffs=None) -> BracketingReport:
     a shared leading term S; straddling is guaranteed when both
     remainders stay below |S| in magnitude.  All three are assembled
     from basis coefficients of f truncated at ``cutoffs`` (default
-    6 * max(n1, n2) per axis).
+    6 * max(n1, n2) per axis, at least 2 n + 1), and so is theta, the
+    same sums with every sign dropped (Gauss moments for theta_1,
+    companion moments on the high blocks for theta_2).
     """
-    m1, m2 = _default_cutoffs(n1, n2, cutoffs)
+    n1, n2 = _sizes(n1, n2)
+    m1, m2 = (6 * max(n1, n2),) * 2 if cutoffs is None else cutoffs
+    m1, m2 = _size(m1, "cutoff1"), _size(m2, "cutoff2")
     if m1 < 2 * n1 + 1 or m2 < 2 * n2 + 1:
         raise ValueError(
             f"cutoffs ({m1}, {m2}) too small, need at least ({2 * n1 + 1}, {2 * n2 + 1})"
@@ -305,72 +308,19 @@ def bracketing_diagnostic(f, w1, w2, n1, n2, cutoffs=None) -> BracketingReport:
         + float(np.dot(alpha[0, hi2] * sqb1 - col_mid, a2[hi2]))
     )
     holds = max(abs(e1), abs(e2)) < abs(S)
-    return BracketingReport(S, e1, e2, holds, m1, m2)
+
+    # theta_k: the four blocks of E_k with |alpha| and |moments|
+    aa, ag1, ag2 = np.abs(alpha), np.abs(g1[mid1]), np.abs(g2[mid2])
+    row_abs = aa[hi1, 0] * sqb2 + aa[hi1, mid2] @ ag2
+    col_abs = aa[0, hi2] * sqb1 + ag1 @ aa[mid1, hi2]
+    theta = float(ag1 @ aa[mid1, mid2] @ ag2) + max(
+        float(row_abs @ u1 + u1 @ aa[hi1, hi2] @ u2 + col_abs @ u2)
+        for u1, u2 in ((np.abs(g1[hi1]), np.abs(g2[hi2])), (np.abs(a1[hi1]), np.abs(a2[hi2])))
+    )
+    return BracketingReport(S, e1, e2, holds, m1, m2, theta, theta < abs(S))
 
 
 def chebyshev_bracketing_terms(f, n1: int, n2: int, cutoffs=None) -> BracketingReport:
-    """Bracketing series specialized to the first-kind Chebyshev product weight.
-
-    The rule moments of the basis collapse to a lattice of multiples of
-    2n per axis, leaving short alternating sums.  Also reports the
-    crude majorant theta obtained by dropping every sign; theta below
-    |S| certifies straddling without cancellation arguments.
-    """
-    m1, m2 = _default_cutoffs(n1, n2, cutoffs)
-    if m1 < 4 * n1 or m2 < 4 * n2:
-        raise ValueError(
-            f"cutoffs ({m1}, {m2}) too small, need at least ({4 * n1}, {4 * n2})"
-        )
+    """``bracketing_diagnostic`` for the first-kind Chebyshev weight on both axes."""
     cheb = JacobiWeight(-0.5, -0.5)
-    alpha, _, _ = _coefficient_matrix(f, cheb, cheb, m1, m2)
-
-    k1 = np.arange(2, m1 // (2 * n1) + 1)
-    k2 = np.arange(2, m2 // (2 * n2) + 1)
-    i1 = 2 * n1 * k1
-    i2 = 2 * n2 * k2
-    sg1 = (-1.0) ** k1
-    sg2 = (-1.0) ** k2
-    r2 = math.sqrt(2.0)
-
-    a_mid = alpha[2 * n1, 2 * n2]
-    rows = alpha[i1, 0]
-    rows_mid = alpha[i1, 2 * n2]
-    cols = alpha[0, i2]
-    cols_mid = alpha[2 * n1, i2]
-    inner = alpha[np.ix_(i1, i2)]
-
-    e1t = (
-        r2 * a_mid
-        + float(np.dot(sg1, rows - r2 * rows_mid))
-        + r2 * float(sg1 @ inner @ sg2)
-        + float(np.dot(sg2, cols - r2 * cols_mid))
-    )
-    e2t = (
-        r2 * a_mid
-        + float(np.sum(rows + r2 * rows_mid))
-        + r2 * float(np.sum(inner))
-        + float(np.sum(cols + r2 * cols_mid))
-    )
-    s_cond = alpha[2 * n1, 0] + alpha[0, 2 * n2]
-    theta = (
-        r2 * abs(a_mid)
-        + float(np.sum(np.abs(rows) + r2 * np.abs(rows_mid)))
-        + r2 * float(np.sum(np.abs(inner)))
-        + float(np.sum(np.abs(cols) + r2 * np.abs(cols_mid)))
-    )
-    holds = max(abs(e1t), abs(e2t)) < abs(s_cond)
-    holds_theta = theta < abs(s_cond)
-
-    # scale to match the general diagnostic, whose leading term is
-    # -sqrt(2) pi (alpha[2 n1, 0] + alpha[0, 2 n2]) for this weight
-    scale = -r2 * math.pi
-    return BracketingReport(
-        scale * s_cond,
-        scale * e1t,
-        scale * e2t,
-        holds,
-        m1,
-        m2,
-        theta=abs(scale) * theta,
-        holds_theta=holds_theta,
-    )
+    return bracketing_diagnostic(f, cheb, cheb, n1, n2, cutoffs)

@@ -732,7 +732,8 @@ def run_case(case_id: str, sizes=None, metrics=None, solver=None) -> CaseReport:
     """Recompute a case's stored rows and compare against the table.
 
     ``sizes`` and ``metrics`` restrict the work; ``solver`` overrides the
-    case's solver for the row solves.  Unknown ids raise ValueError.
+    case's solver for the row solves.  Unknown ids raise ValueError, and a
+    condition number above the library's cap raises CapacityError.
     """
     case = get_case(case_id)
     solver = solver or case.solver
@@ -746,6 +747,10 @@ def run_case(case_id: str, sizes=None, metrics=None, solver=None) -> CaseReport:
             continue
         values = _row_values(case, size, set(names), solver)
         for metric in names:
+            if values[metric] == "skipped":
+                raise CapacityError(
+                    f"case {case_id!r} at n={size}: {metric} is above the condition-number cap"
+                )
             expected = table[metric]
             computed = float(-1 if values[metric] is None else values[metric])
             results.append(RowResult(size, metric, computed, expected, check_value(computed, expected)))

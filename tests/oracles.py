@@ -207,6 +207,66 @@ def jacobi_matrix_rule_mp(alpha, beta, n, bordered=False, digits=40):
     return nodes[order], weights[order]
 
 
+def chebyshev_coefficients(f, m1, m2):
+    """Coefficients of f(x1, x2) in the orthonormal first-kind Chebyshev basis up to (m1, m2).
+
+    The basis is 1/sqrt(pi) and sqrt(2/pi) T_k(x) = sqrt(2/pi) cos(k t) at
+    x = cos t, evaluated with cosines on the closed-form (m + 9)-point
+    Gauss-Chebyshev rule (nodes cos((2i+1) pi / 2M), weights pi / M) per axis:
+    no recurrence coefficients and no eigensolver.
+    """
+    def basis(m):
+        big = m + 9  # the library's coefficient rule size
+        t = (2 * np.arange(big) + 1) * math.pi / (2 * big)
+        p = math.sqrt(2.0 / math.pi) * np.cos(np.outer(np.arange(m + 1), t))
+        p[0] = 1.0 / math.sqrt(math.pi)
+        return np.cos(t), math.pi / big, p
+
+    x1, w1, p1 = basis(m1)
+    x2, w2, p2 = basis(m2)
+    vals = np.broadcast_to(np.asarray(f(x1[:, None], x2[None, :]), dtype=float),
+                           (x1.size, x2.size))
+    return w1 * w2 * (p1 @ vals @ p2.T)
+
+
+def chebyshev_bracketing_oracle(alpha, n1, n2):
+    """S, E1, E2 and theta of the bracketing series for the Chebyshev product weight.
+
+    On this weight the n-point Gauss rule integrates T_k to 0 for 0 < k < 2n
+    and for k off the lattice 2n j, and to pi (-1)^j at k = 2n j; the
+    (n+1)-point companion (nodes cos(j pi / n)) integrates T_{2nj} to pi.
+    The series of ``bracketing_diagnostic`` therefore collapse to
+    alternating (Gauss) and plain (companion) sums of the coefficients
+    alpha on the lattice, with the shared mid term at (2 n1, 2 n2).  theta
+    drops every sign.  Returns (S, E1, E2, theta) on the library's scale,
+    where S = -sqrt(2) pi (alpha[2 n1, 0] + alpha[0, 2 n2]).  ``alpha`` is
+    the coefficient matrix in the orthonormal basis up to the cutoffs, as
+    from ``chebyshev_coefficients``.
+    """
+    m1, m2 = alpha.shape[0] - 1, alpha.shape[1] - 1
+    j1 = np.arange(2, m1 // (2 * n1) + 1)
+    j2 = np.arange(2, m2 // (2 * n2) + 1)
+    k1, k2 = 2 * n1 * j1, 2 * n2 * j2
+    s1, s2 = (-1.0) ** j1, (-1.0) ** j2
+    r2 = math.sqrt(2.0)
+
+    mid = alpha[2 * n1, 2 * n2]
+    edge1, edge1_mid = alpha[k1, 0], alpha[k1, 2 * n2]
+    edge2, edge2_mid = alpha[0, k2], alpha[2 * n1, k2]
+    inner = alpha[np.ix_(k1, k2)]
+
+    gauss = (r2 * mid + s1 @ (edge1 - r2 * edge1_mid) + r2 * (s1 @ inner @ s2)
+             + s2 @ (edge2 - r2 * edge2_mid))
+    companion = (r2 * mid + np.sum(edge1 + r2 * edge1_mid) + r2 * np.sum(inner)
+                 + np.sum(edge2 + r2 * edge2_mid))
+    theta = (r2 * abs(mid) + np.sum(np.abs(edge1) + r2 * np.abs(edge1_mid))
+             + r2 * np.sum(np.abs(inner)) + np.sum(np.abs(edge2) + r2 * np.abs(edge2_mid)))
+    scale = -r2 * math.pi
+    lead = alpha[2 * n1, 0] + alpha[0, 2 * n2]
+    return (float(scale * lead), float(scale * gauss), float(scale * companion),
+            float(-scale * theta))
+
+
 # ROADMAP's manufactured kernel pair k1 = 1 + 0.5 x y + 0.25 x^2 and
 # k2 = 0.5 - 0.3 x + 0.2 x y, each axis factor a sum of terms P(x) Q(y)
 # given as the monomial coefficients of P and Q

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarequad import (
+    BracketingReport,
     EvaluationError,
     JacobiWeight,
     antigauss_cubature,
@@ -21,8 +22,16 @@ from squarequad import (
     gauss_rule,
 )
 from squarequad import linsolve
+from squarequad.cubature import _coefficient_matrix
+from squarequad.testproblems import get_case
 
-from oracles import integral_poly, jacobi_b0, random_poly_pair
+from oracles import (
+    chebyshev_bracketing_oracle,
+    chebyshev_coefficients,
+    integral_poly,
+    jacobi_b0,
+    random_poly_pair,
+)
 
 LEG = JacobiWeight(0.0, 0.0)
 CH1 = JacobiWeight(-0.5, -0.5)
@@ -217,14 +226,69 @@ def test_bracketing_diagnostic_names_a_nonfinite_coefficient_node():
     assert err.value.node == (x1, x2)
 
 
-def test_chebyshev_terms_match_general_diagnostic():
-    f = lambda a, b: np.cos(2.0 * a + b) + 0.5 * a * b
-    gen = bracketing_diagnostic(f, CH1, CH1, 5, 5)
-    cheb = chebyshev_bracketing_terms(f, 5, 5)
-    assert cheb.S == pytest.approx(gen.S, rel=1e-10, abs=1e-14)
-    # simplified terms bound the general ones the corollary way
-    assert cheb.theta >= 0.0
-    assert cheb.holds == gen.holds
+# smooth integrands for the Chebyshev oracle and the theta checks
+INTEGRANDS = (
+    lambda a, b: np.cos(2.0 * a + b) + 0.5 * a * b,
+    lambda a, b: np.exp(a * b),
+    lambda a, b: np.sin(3.0 * a) * np.exp(-b * b),
+)
+
+
+def test_chebyshev_terms_match_the_lattice_oracle():
+    # the general series on Chebyshev moments against the closed-form
+    # lattice sums, both on the library's coefficient matrix; cutoffs
+    # from the 2n + 1 minimum to the 6 max(n1, n2) default
+    for f in INTEGRANDS + (lambda a, b: np.abs(a - 0.3) ** 2.5 * np.cos(b),):
+        for n1, n2 in ((1, 1), (2, 2), (3, 5), (8, 4), (10, 10), (20, 20)):
+            for cutoffs in (None, (2 * n1 + 1, 2 * n2 + 1), (4 * n1 + 3, 3 * n2)):
+                rep = chebyshev_bracketing_terms(f, n1, n2, cutoffs)
+                alpha = _coefficient_matrix(f, CH1, CH1, rep.cutoff1, rep.cutoff2)[0]
+                S, E1, E2, theta = chebyshev_bracketing_oracle(alpha, n1, n2)
+                for got, want in ((rep.S, S), (rep.E1, E1), (rep.E2, E2), (rep.theta, theta)):
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-16), (n1, n2, cutoffs)
+                assert rep.holds == (max(abs(E1), abs(E2)) < abs(S))
+                assert rep.holds_theta == (theta < abs(S))
+
+
+def test_chebyshev_coefficients_match_the_cosine_oracle():
+    # the library's coefficients (recurrences, QL nodes) against cos(k t)
+    # on the closed-form Gauss-Chebyshev rule
+    for f in INTEGRANDS:
+        for m1, m2 in ((10, 10), (40, 25), (120, 120), (180, 60)):
+            alpha = _coefficient_matrix(f, CH1, CH1, m1, m2)[0]
+            want = chebyshev_coefficients(f, m1, m2)
+            assert np.max(np.abs(alpha - want)) < 2e-13 * np.max(np.abs(want)), (m1, m2)
+
+
+# five Jacobi weights (alpha, beta), each on both axes once
+THETA_WEIGHTS = [(0.0, 0.0), (-0.5, -0.5), (0.5, -0.25), (1.3, 0.2), (0.5, 0.5)]
+THETA_PAIRS = list(zip(THETA_WEIGHTS, THETA_WEIGHTS[1:] + THETA_WEIGHTS[:1]))
+
+
+@pytest.mark.parametrize(
+    "e1, e2", THETA_PAIRS, ids=[f"{a[0]},{a[1]}x{b[0]},{b[1]}" for a, b in THETA_PAIRS]
+)
+def test_theta_majorizes_both_remainders(e1, e2):
+    w1, w2 = JacobiWeight(*e1), JacobiWeight(*e2)
+    for f in INTEGRANDS:
+        for n1, n2 in ((2, 4), (4, 7), (7, 2)):
+            rep = bracketing_diagnostic(f, w1, w2, n1, n2)
+            assert rep.theta >= max(abs(rep.E1), abs(rep.E2)) * (1 - 1e-12), (n1, n2)
+            assert rep.holds or not rep.holds_theta, (n1, n2)
+
+
+def test_theta_on_figure1():
+    # ROADMAP's values: theta / |S| = 0.62 at cub2 (20, 20); on the
+    # fig1-left sweep theta passes |S| only at n1 = 29 and 30
+    cub2 = get_case("cub2")
+    rep = bracketing_diagnostic(cub2.integrand, cub2.w1, cub2.w2, 20, 20)
+    assert rep.theta / abs(rep.S) == pytest.approx(0.62, abs=0.01)
+    cub1 = get_case("cub1")
+    over = [
+        n1 for n1 in range(1, 31)
+        if not bracketing_diagnostic(cub1.integrand, cub1.w1, cub1.w2, n1, 8).holds_theta
+    ]
+    assert over == [29, 30]
 
 
 def test_chebyshev_terms_zero_for_core_poly(rng):
@@ -233,13 +297,28 @@ def test_chebyshev_terms_zero_for_core_poly(rng):
     assert abs(rep.theta) < 1e-10
 
 
-@pytest.mark.parametrize("make", [gauss_cubature, antigauss_cubature, averaged_cubature])
+def bracketing(w1, w2, n1, n2):
+    return bracketing_diagnostic(INTEGRANDS[0], w1, w2, n1, n2)
+
+
+def chebyshev(w1, w2, n1, n2):
+    return chebyshev_bracketing_terms(INTEGRANDS[0], n1, n2)
+
+
+@pytest.mark.parametrize("make", [
+    gauss_cubature, antigauss_cubature, averaged_cubature, bracketing, chebyshev,
+])
 def test_non_integral_sizes_rejected(make):
-    with pytest.raises(ValueError, match="n1 must be an integer"):
+    with pytest.raises(ValueError, match="n1 must be an integer, got 2.5"):
         make(LEG, LEG, 2.5, 3)
     with pytest.raises(ValueError, match="n2 must be an integer"):
         make(LEG, LEG, 2, 3.9)
+    with pytest.raises(ValueError, match=re.escape("rule sizes must be positive, got (0, 3)")):
+        make(LEG, LEG, 0, 3)
     r = make(LEG, LEG, 2.0, np.int64(3))
+    if isinstance(r, BracketingReport):
+        assert r == make(LEG, LEG, 2, 3)
+        return
     assert (r.n1, r.n2) == (2, 3) and type(r.n1) is int and type(r.n2) is int
     assert r.npoints == make(LEG, LEG, 2, 3).npoints
 

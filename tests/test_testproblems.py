@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 
 from squarequad import testproblems as tp
 from squarequad.cubature import CubatureRule2D, antigauss_cubature, gauss_cubature
+from squarequad.errors import CapacityError
 from squarequad.fredholm import _lattice_values, solve_nystrom
 from squarequad.testproblems import Expected, check_value, get_case, run_case
 
@@ -225,6 +227,50 @@ def test_row_path_reports_the_bracketing_values():
     assert blind["sign_changes"] == changes
     gap = 0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
     assert blind["gap_half_rel"] == gap
+
+
+def _half_gap_row(case_id, size):
+    """fraction_between, and xi_g and xi_a over the half-gap, of a stored row."""
+    case = get_case(case_id)
+    vals = tp._row_values(case, size, {"lattice", "xi_g", "xi_a", "fraction_between"}, case.solver)
+    vg, va = vals["lattice"]
+    half_gap = 0.5 * np.max(np.abs(vg - va)) / np.max(np.abs(0.5 * (vg + va)))
+    return vals["fraction_between"], vals["xi_g"] / half_gap, vals["xi_a"] / half_gap
+
+
+# rounding noise: its interpolants bracket the solution at 24 % of the lattice
+_HALF_GAP_NOISE_ROW = ("eq1", (8, 8))
+_HALF_GAP_ROWS = [
+    (case_id, size)
+    for case_id in ("eq1", "eq2", "eq3", "eq4")
+    for size, _ in get_case(case_id).rows
+    if max(size) <= 128 and (case_id, size) != _HALF_GAP_NOISE_ROW
+]
+
+
+@pytest.mark.parametrize(
+    "case_id, size", _HALF_GAP_ROWS, ids=[f"{c}-{n1}x{n2}" for c, (n1, n2) in _HALF_GAP_ROWS]
+)
+def test_half_gap_bounds_the_error_where_the_interpolants_bracket(case_id, size):
+    # where f lies between f_G and f_A, |f - f_G| and |f - f_A| are at most
+    # |f_A - f_G|: twice the half-gap, up to the two normalizations
+    between, xi_g, xi_a = _half_gap_row(case_id, size)
+    assert between == 1.0
+    assert xi_g <= 2.0 and xi_a <= 2.0, (xi_g, xi_a)
+
+
+def test_half_gap_bound_fails_on_the_noise_row():
+    between, _, xi_a = _half_gap_row(*_HALF_GAP_NOISE_ROW)
+    assert between < 0.5
+    assert xi_a > 2.0
+
+
+def test_run_case_names_a_kappa_above_the_cap():
+    # solve prints "skipped" for it; a table row has no value to compare
+    with pytest.raises(CapacityError, match=re.escape(
+        "case 'eq2' at n=(256, 16): kappa_a is above the condition-number cap"
+    )):
+        run_case("eq2", sizes=[(256, 16)], metrics=["kappa_a"], solver="gmres")
 
 
 def _count_solves(monkeypatch):
